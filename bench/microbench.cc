@@ -588,19 +588,14 @@ BENCHMARK(BM_ThreadScale)
     ->Unit(benchmark::kMillisecond);
 
 // The MP epoch dispatcher at N simulated CPUs (Arg: N) on the sharded c1m
-// workload, parallel backend. Measures HOST time for a full
-// build-boot-storm-quiesce cycle; speedup_vs_1cpu is host throughput
-// relative to the N=1 run of the same process (benchmarks run in
-// registration order, so the 1-CPU baseline always lands first). On a
-// single-core host the parallel backend cannot beat 1x -- the counter then
-// records the honest epoch-machinery overhead rather than a win; see
-// EXPERIMENTS.md.
+// workload. Measures HOST time for a full build-boot-storm-quiesce cycle,
+// with the epoch count and cross-CPU traffic that produced it; N=1 is the
+// single-CPU dispatch loop the MP cost is read against (EXPERIMENTS.md).
 void BM_MpScale(benchmark::State& state) {
   KernelConfig cfg;
   cfg.num_cpus = static_cast<int>(state.range(0));
   C1mParams p;
   p.clients = 2000;
-  static double base_run_secs = 0;  // host secs/run at num_cpus=1
   C1mResult last;
   double secs = 0;
   for (auto _ : state) {
@@ -614,12 +609,7 @@ void BM_MpScale(benchmark::State& state) {
     benchmark::DoNotOptimize(last.app.stats.context_switches);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * p.clients);
-  const double run_secs = secs / static_cast<double>(state.iterations());
-  if (cfg.num_cpus == 1) {
-    base_run_secs = run_secs;
-  }
-  state.counters["host_ms_per_run"] = run_secs * 1e3;
-  state.counters["speedup_vs_1cpu"] = base_run_secs > 0 ? base_run_secs / run_secs : 0;
+  state.counters["host_ms_per_run"] = secs * 1e3 / static_cast<double>(state.iterations());
   state.counters["mp_epochs"] = static_cast<double>(last.app.stats.mp_epochs);
   state.counters["cross_cpu_ipc"] = static_cast<double>(last.app.stats.cross_cpu_ipc);
 }
@@ -628,4 +618,17 @@ BENCHMARK(BM_MpScale)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisec
 }  // namespace
 }  // namespace fluke
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the build's compiler and CMAKE_BUILD_TYPE in the JSON
+// context: the library's own "library_build_type" describes only how
+// google-benchmark was built.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::AddCustomContext("compiler", FLUKE_BENCH_COMPILER);
+  benchmark::AddCustomContext("build_type", FLUKE_BENCH_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

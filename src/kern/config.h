@@ -57,15 +57,21 @@ enum class PreemptMode : int {
   kFull = 2,     // FP: preemptible at every work quantum (process model only)
 };
 
-// Upper bound on simulated CPUs. Each CPU costs a ReadyQueue, a virtual-time
-// lane and (in the parallel backend) a host worker thread, so the cap is a
-// sanity bound, not a hardware limit; 64 comfortably covers current hosts.
+// Upper bound on simulated CPUs. Each CPU costs a ReadyQueue and a
+// virtual-time lane, so the cap is a sanity bound, not a hardware limit.
 inline constexpr int kMaxCpus = 64;
 
 struct KernelConfig {
   ExecModel model = ExecModel::kProcess;
   PreemptMode preempt = PreemptMode::kNone;
   int num_cpus = 1;
+  // Epoch quantum for the multi-CPU dispatcher (src/kern/dispatch.cc): each
+  // CPU runs its own virtual-time lane up to
+  // min(epoch base + mp_epoch_ns, next timer deadline, run horizon), then
+  // all CPUs meet at a barrier where timers/IRQs fire and cross-CPU effects
+  // merge in CPU order. Smaller epochs tighten device-timer latency bounds;
+  // larger epochs amortize barrier cost. Irrelevant when num_cpus == 1.
+  uint64_t mp_epoch_ns = 100 * 1000;
   // Timeslice for same-priority round-robin, in timer ticks.
   uint32_t timeslice_ticks = 10;
   // Timer tick period (default 1 ms, as in the paper's latency experiment).
@@ -102,19 +108,6 @@ struct KernelConfig {
   // A/B check and for debugging. Self-disables while a FaultPlan is armed
   // or the trace buffer is enabled.
   bool fast_path = true;
-  // Epoch quantum for the multi-CPU dispatcher (src/kern/dispatch.cc): each
-  // CPU runs its own virtual-time lane up to
-  // min(epoch base + mp_epoch_ns, next timer deadline, run horizon), then
-  // all CPUs meet at a barrier where timers/IRQs fire and cross-CPU effects
-  // merge in CPU order. Smaller epochs tighten device-timer latency bounds;
-  // larger epochs amortize barrier cost. Irrelevant when num_cpus == 1.
-  uint64_t mp_epoch_ns = 100 * 1000;
-  // Execute multi-CPU epochs on host worker threads (one per simulated CPU)
-  // instead of a serial per-CPU loop. Both backends run the identical epoch
-  // schedule and are bit-identical (tested by tests/mp_test.cc); serial
-  // exists for that A/B check and is forced whenever instrumentation
-  // (fault plan / trace) is live, mirroring the fast_path rule.
-  bool mp_parallel = true;
   // Deterministic fault injection; inert unless fault_plan.enabled and the
   // injector is armed (tests arm it after host-side setup).
   FaultPlan fault_plan;
@@ -144,6 +137,13 @@ struct KernelConfig {
   // Paper-style label, e.g. "Process NP", "Interrupt PP".
   std::string Label() const;
 };
+
+// gtest names every test parameterized on a KernelConfig after the
+// parameter's raw bytes ("# GetParam() = 128-byte object <...>"), so the
+// struct's size is part of several hundred test names. Keep it fixed until
+// KernelConfig has a gtest printer of its own.
+static_assert(sizeof(void*) != 8 || sizeof(KernelConfig) == 128,
+              "KernelConfig's size appears in parameterized test names");
 
 // The five valid configurations of Table 4, in the paper's order.
 inline constexpr int kNumPaperConfigs = 5;

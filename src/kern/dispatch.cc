@@ -19,7 +19,6 @@
 
 #include "src/kern/kernel.h"
 #include "src/kern/legacy.h"
-#include "src/kern/mppool.h"
 #include "src/kern/syscall_table.h"
 #include "src/uvm/interp.h"
 
@@ -35,14 +34,11 @@ void Kernel::Run(Time until) {
   // from host code between Run() calls, so the choice is stable for the
   // whole call.
   if (cfg.num_cpus > 1) {
-    // Epoch dispatcher. Instrumentation forces the serial backend: hooks
-    // then fire in the deterministic CPU-order merge, never in
-    // host-arrival order -- and since both backends run the identical
-    // epoch schedule, nothing is observably different.
+    // The epoch dispatcher, with the same hoisted choice.
     if (InstrumentationLive()) {
-      RunMpLoop<true>(until, /*parallel=*/false);
+      RunMpLoop<true>(until);
     } else {
-      RunMpLoop<false>(until, cfg.mp_parallel);
+      RunMpLoop<false>(until);
     }
     return;
   }
@@ -667,24 +663,24 @@ void Kernel::HandlePseudoSyscall(Thread* t, uint32_t sys) {
 //
 // An epoch runs every CPU's virtual-time lane from a common base to a common
 // horizon (min of the run limit, the epoch quantum, and the next timer
-// deadline). Within an epoch, rounds alternate two phases:
+// deadline). Within an epoch, rounds alternate two phases, each a loop over
+// the CPUs in order 0..N-1 on the one host thread:
 //
-//   phase B (serial, CPU order 0..N-1): MpAdvance picks threads and executes
-//     kernel work -- syscalls, faults, wakeups -- with the global clock
-//     loaned to the CPU's lane, until the CPU has a pure user-mode
-//     interpreter burst staged (or its lane reaches the horizon);
-//   phase A (parallel): MpRunBursts executes every staged burst. Bursts
-//     touch only thread registers, the frames of the thread's space-affinity
-//     domain, and the CPU's stat shard -- all owned by exactly one CPU -- so
-//     running them on host workers is a pure reordering of independent work;
+//   phase B: MpAdvance picks threads and executes kernel work -- syscalls,
+//     faults, wakeups -- with the global clock loaned to the CPU's lane,
+//     until the CPU has a pure user-mode interpreter burst staged (or its
+//     lane reaches the horizon);
+//   phase A: MpRunBursts executes every staged burst. Bursts touch only
+//     thread registers and the frames of the thread's space-affinity
+//     domain;
 //   back to phase B: MpConsume charges each burst's cycles on its lane and
-//     handles its trap, again serially in CPU order.
+//     handles its trap.
 //
-// Everything that orders cross-CPU effects -- picks, wakeups, timer fires,
-// stat-shard folds -- happens in the serial phases in deterministic CPU
-// order, so the parallel backend produces bit-identical schedules, stats and
-// digests to the serial backend (cfg.mp_parallel = false runs phase A on a
-// for-loop instead of the pool; nothing else differs).
+// The schedule, stats and digest are a function of this order alone, so
+// every run of the same workload reproduces them bit for bit. There are no
+// host threads: a burst ends at the next syscall, a few instructions in the
+// kernel-bound workloads -- too little work to pay for a fork/join per
+// round (DESIGN.md, "Deterministic SMP").
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -721,56 +717,6 @@ uint64_t Kernel::MpDigest() const {
     h = FnvMix(h, c.digest);
   }
   return h;
-}
-
-void Kernel::MpMergeShards() {
-  if (cfg.num_cpus <= 1) {
-    return;
-  }
-  // Fold-and-zero in CPU order: sums are independent of how phase A was
-  // scheduled on the host. Only the counters a burst can touch live in the
-  // shards; everything else goes straight to `stats` from serial phases.
-  for (Cpu& c : cpus_) {
-    KernelStats& s = *c.shard;
-    stats.tlb_hits += s.tlb_hits;
-    s.tlb_hits = 0;
-    stats.tlb_misses += s.tlb_misses;
-    s.tlb_misses = 0;
-    stats.tlb_flushes += s.tlb_flushes;
-    s.tlb_flushes = 0;
-    stats.interp_block_charges += s.interp_block_charges;
-    s.interp_block_charges = 0;
-    stats.interp_predecodes += s.interp_predecodes;
-    s.interp_predecodes = 0;
-    stats.jit_compiles += s.jit_compiles;
-    s.jit_compiles = 0;
-    stats.jit_block_entries += s.jit_block_entries;
-    s.jit_block_entries = 0;
-    stats.jit_deopts += s.jit_deopts;
-    s.jit_deopts = 0;
-    stats.jit_bytes += s.jit_bytes;
-    s.jit_bytes = 0;
-    stats.user_instructions += s.user_instructions;
-    s.user_instructions = 0;
-    // Histogram shards: today's bursts only observe durations in serial
-    // phases (instrumented MP runs on the serial backend), so these folds
-    // are usually empty -- but the merge is part of the barrier contract
-    // so a shard-observed histogram can never be stranded.
-    if (!s.block_hist.empty()) {
-      stats.block_hist.Merge(s.block_hist);
-      s.block_hist = LogHistogram{};
-    }
-    if (!s.probe_hist.empty()) {
-      stats.probe_hist.Merge(s.probe_hist);
-      s.probe_hist = LogHistogram{};
-    }
-    for (uint32_t i = 0; i < kSysCount; ++i) {
-      if (!s.sys_time_hist[i].empty()) {
-        stats.sys_time_hist[i].Merge(s.sys_time_hist[i]);
-        s.sys_time_hist[i] = LogHistogram{};
-      }
-    }
-  }
 }
 
 template <bool Instrumented>
@@ -861,59 +807,14 @@ bool Kernel::MpAdvance(Cpu& c, Time horizon) {
   return false;
 }
 
-void Kernel::MpRunBursts(bool parallel) {
-  int staged[kMaxCpus];
-  int n = 0;
+template <bool Instrumented>
+void Kernel::MpRunBursts() {
+  const InterpOptions& opts = Instrumented ? interp_opts_instr_ : interp_opts_;
   for (Cpu& c : cpus_) {
     if (c.burst_budget != 0) {
-      staged[n++] = c.id;
+      Thread* t = c.current;
+      c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, opts);
     }
-  }
-  auto run_one = [this](Cpu& c) {
-    Thread* t = c.current;
-    c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, c.interp_opts);
-  };
-  if (!parallel || n <= 1) {
-    for (int i = 0; i < n; ++i) {
-      run_one(cpus_[staged[i]]);
-    }
-    return;
-  }
-  // Engines with lazy per-Program caches mutate them on first touch, so
-  // first-touch bursts run serially on this thread and only already-built
-  // programs fan out to the pool. Threaded: the decoded side-table until
-  // DecodedReady(). Jit: hotness counting, compilation, AND the cold
-  // (threaded) bursts before the compile all happen under !JitReady();
-  // once ready the arena is sealed/immutable and compiled bursts never
-  // touch the decode cache, so JitReady() alone is the pinning predicate.
-  int par[kMaxCpus];
-  int np = 0;
-  const InterpEngine engine = cfg.EffectiveEngine();
-  const bool jit = engine == InterpEngine::kJit && JitCompiledIn() && JitAvailable();
-  const bool threaded =
-      !jit && engine != InterpEngine::kSwitch && ThreadedDispatchCompiledIn();
-  for (int i = 0; i < n; ++i) {
-    Cpu& c = cpus_[staged[i]];
-    const Program& p = *c.current->program;
-    if ((jit && !p.JitReady()) || (threaded && !p.DecodedReady())) {
-      run_one(c);
-    } else {
-      par[np++] = staged[i];
-    }
-  }
-  if (np == 0) {
-    return;
-  }
-  if (np == 1) {
-    run_one(cpus_[par[0]]);
-    return;
-  }
-  if (mp_pool_ == nullptr) {
-    mp_pool_ = std::make_unique<MpPool>(cfg.num_cpus - 1);
-  }
-  const int waited = mp_pool_->RunBatch(np, [&](int j) { run_one(cpus_[par[j]]); });
-  if (waited > 0) {
-    ++stats.mp_barrier_waits;  // host-side only; excluded from equivalence
   }
 }
 
@@ -957,7 +858,7 @@ void Kernel::MpConsume(Cpu& c) {
 }
 
 template <bool Instrumented>
-void Kernel::RunMpLoop(Time until, bool parallel) {
+void Kernel::RunMpLoop(Time until) {
   mp_running_ = true;
   while (!crashed_ && clock.now() < until) {
     // Epoch boundary: global clock, boot CPU context. Timers, device events
@@ -1019,7 +920,7 @@ void Kernel::RunMpLoop(Time until, bool parallel) {
       if (!staged || crashed_) {
         break;
       }
-      MpRunBursts(parallel);
+      MpRunBursts<Instrumented>();
       for (Cpu& c : cpus_) {
         MpConsume<Instrumented>(c);
       }
@@ -1039,9 +940,7 @@ void Kernel::RunMpLoop(Time until, bool parallel) {
     if (!crashed_) {
       clock.SetForMpLane(horizon);  // barrier: every lane at the horizon
     }
-    MpMergeShards();
   }
-  MpMergeShards();  // idempotent (fold-and-zero): covers the break paths
   mp_running_ = false;
   exec_cpu_ = &cpus_[0];
 }

@@ -106,9 +106,6 @@ std::string DumpKernel(const Kernel& k) {
                 static_cast<unsigned long long>(k.stats.kernel_preemptions));
   std::string out(line);
   if (k.cfg.num_cpus > 1) {
-    // Semantic MP counters only: this line is compared across the serial and
-    // parallel backends by the equivalence tests, so the host-side
-    // mp_barrier_waits counter deliberately stays out.
     std::snprintf(line, sizeof(line),
                   "MP cpus=%d epochs=%llu cross_cpu_ipc=%llu migrations=%llu "
                   "shootdowns_remote=%llu digest=%016llx\n",
@@ -229,7 +226,6 @@ std::string StatsJson(const Kernel& k) {
   field("cross_cpu_ipc", s.cross_cpu_ipc);
   field("migrations", s.migrations);
   field("shootdowns_remote", s.shootdowns_remote);
-  field("mp_barrier_waits", s.mp_barrier_waits);
   field("rollback_ns", s.rollback_ns);
   field("remedy_soft_ns", s.remedy_soft_ns);
   field("remedy_hard_ns", s.remedy_hard_ns);

@@ -7,7 +7,6 @@
 
 #include "src/base/log.h"
 #include "src/kern/ipc.h"
-#include "src/kern/mppool.h"
 #include "src/kern/syscall_table.h"
 
 namespace fluke {
@@ -24,19 +23,6 @@ Kernel::Kernel(const KernelConfig& config, ProgramRegistry* program_registry)
   exec_cpu_ = cpu_;
   for (int i = 0; i < cfg.num_cpus; ++i) {
     cpus_[i].id = i;
-    if (cfg.num_cpus > 1) {
-      // Per-CPU stat shard + engine options: phase-A bursts on this CPU
-      // count into the shard, merged into `stats` at every epoch barrier.
-      cpus_[i].shard = std::make_unique<KernelStats>();
-      cpus_[i].interp_opts.engine = cfg.EffectiveEngine();
-      cpus_[i].interp_opts.block_charges = &cpus_[i].shard->interp_block_charges;
-      cpus_[i].interp_opts.predecodes = &cpus_[i].shard->interp_predecodes;
-      cpus_[i].interp_opts.instructions = &cpus_[i].shard->user_instructions;
-      cpus_[i].interp_opts.jit_compiles = &cpus_[i].shard->jit_compiles;
-      cpus_[i].interp_opts.jit_block_entries = &cpus_[i].shard->jit_block_entries;
-      cpus_[i].interp_opts.jit_deopts = &cpus_[i].shard->jit_deopts;
-      cpus_[i].interp_opts.jit_bytes = &cpus_[i].shard->jit_bytes;
-    }
   }
   interp_opts_.engine = cfg.EffectiveEngine();
   interp_opts_.block_charges = &stats.interp_block_charges;
@@ -87,14 +73,11 @@ std::shared_ptr<Space> Kernel::CreateSpace(const std::string& name) {
   auto s = std::make_shared<Space>(NextObjId(), &phys);
   if (cfg.num_cpus > 1) {
     // Round-robin home assignment: each new space starts as its own
-    // affinity domain; its TLB counters go to the home CPU's shard so
-    // phase-A bursts never touch the shared KernelStats.
+    // affinity domain.
     s->aff_home = next_space_home_;
     next_space_home_ = (next_space_home_ + 1) % cfg.num_cpus;
-    s->ConfigureTlb(cfg.enable_tlb, cpus_[s->aff_home].shard.get());
-  } else {
-    s->ConfigureTlb(cfg.enable_tlb, &stats);
   }
+  s->ConfigureTlb(cfg.enable_tlb, &stats);
   s->aff_members.push_back(s.get());
   s->set_name(name);
   spaces_.push_back(s);
@@ -128,11 +111,10 @@ int Kernel::HomeCpuOf(Space* s) {
 }
 
 bool Kernel::LendAllowed(Space* to, Space* from) {
-  // Not under MP at all -- not even intra-domain. A lend creates a
-  // copy-on-write pair whose break (the first write) allocates a frame in
-  // the middle of a phase-A burst; that would race the global frame
-  // allocator between CPUs and make frame ids depend on host scheduling.
-  // The copy path costs identical virtual time.
+  // Not under MP at all -- not even intra-domain. Lending costs the same
+  // virtual time as copying, but it is not invisible: a lend's copy-on-write
+  // break (the first write) allocates a frame, so enabling it under MP would
+  // move frame ids and the lend/fault counters of every pinned MP result.
   (void)to;
   (void)from;
   return cfg.num_cpus <= 1;
@@ -156,12 +138,11 @@ void Kernel::MergeAffinity(Space* a, Space* b) {
   const int home = ra->aff_home;
   for (Space* s : rb->aff_members) {
     // Re-home the space: its cached translations conceptually lived on the
-    // old CPU, so the move is a remote TLB shootdown -- flush for real and
-    // re-bind the counters to the new home CPU's shard -- and every thread
-    // follows; runnable threads physically move run queues (migrations).
+    // old CPU, so the move is a remote TLB shootdown -- flush for real --
+    // and every thread follows; runnable threads physically move run queues
+    // (migrations).
     s->TlbFlushAll();
     ++stats.shootdowns_remote;
-    s->ConfigureTlb(cfg.enable_tlb, cpus_[home].shard.get());
     for (Thread* t : s->threads) {
       if (t->home_cpu == home) {
         continue;

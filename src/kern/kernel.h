@@ -39,7 +39,6 @@
 namespace fluke {
 
 struct SyscallDef;
-class MpPool;
 
 struct Cpu {
   int id = 0;
@@ -58,21 +57,12 @@ struct Cpu {
   RunResult burst{};          // ...RunResult out (valid while burst_budget != 0)
   // FNV-1a accumulator over this CPU's dispatch history: (lane, tid) at
   // every pick, (lane, event) at every burst consumption. Folded in CPU
-  // order by Kernel::MpDigest() -- the serial and parallel backends, both
-  // interpreter engines, and repeated runs must all agree on it.
+  // order by Kernel::MpDigest() -- every interpreter engine, traced and
+  // untraced runs, and repeated runs must all agree on it.
   uint64_t digest = 14695981039346656037ull;
   // Per-CPU breakdown counters (--stats-json "per_cpu").
   uint64_t dispatches = 0;  // threads picked on this CPU
   uint64_t bursts = 0;      // phase-A interpreter bursts run on this CPU
-  // Per-CPU stat shard (allocated only when num_cpus > 1). The only
-  // counters an interpreter burst can touch -- TLB hits/misses/flushes of
-  // the spaces homed here, the engine's block-charge/predecode counters,
-  // retired instructions -- accumulate in the shard (spaces bind their TLB
-  // counters to it, interp_opts points the engine at it) and are folded
-  // into Kernel::stats in CPU order at every epoch barrier, keeping sums
-  // deterministic no matter how phase A was scheduled on the host.
-  std::unique_ptr<KernelStats> shard;
-  InterpOptions interp_opts{};
 };
 
 class Kernel {
@@ -307,14 +297,13 @@ class Kernel {
   // Thread/space -> CPU affinity (epoch dispatcher). A space's home CPU is
   // its affinity domain's home; domains are unioned when a Mapping connects
   // two spaces, because connected spaces can come to share physical frames,
-  // which phase-A bursts must never touch from two host threads at once.
-  // Merges are deterministic (the lower home id wins) and re-home the
-  // losing domain's threads (stats.migrations).
+  // and a frame's user accesses then all come from one CPU's lane. Merges
+  // are deterministic (the lower home id wins) and re-home the losing
+  // domain's threads (stats.migrations).
   int HomeCpuOf(Space* s);
   // True when an IPC page lend between the two spaces is allowed: always at
-  // num_cpus == 1, never under MP (a lend's copy-on-write break allocates a
-  // frame mid-burst, racing the global allocator between CPUs; the copy
-  // path is taken instead -- virtual time is identical either way).
+  // num_cpus == 1, never under MP, where the copy path is taken instead
+  // (virtual time is identical either way; see kernel.cc for why).
   bool LendAllowed(Space* to, Space* from);
   // Merged (CPU-order) digest of every CPU's dispatch history: the MP
   // determinism witness. Zero-cost and zero at num_cpus == 1.
@@ -460,13 +449,12 @@ class Kernel {
   void HandleUserFaultT(Thread* t, uint32_t addr, bool is_write);
 
   // Multi-CPU epoch dispatcher (dispatch.cc). One epoch = every CPU runs
-  // its own virtual-time lane from the epoch base to a common horizon;
-  // kernel work (picks, syscalls, wakeups) is strictly serial in CPU order
-  // with the global clock loaned to the running CPU's lane, and only pure
-  // interpreter bursts (phase A) execute on host workers. Timers, IRQs and
-  // device events fire at epoch boundaries on the global clock.
+  // its own virtual-time lane from the epoch base to a common horizon, with
+  // the global clock loaned to the running CPU's lane; everything runs on
+  // the one host thread, in CPU order. Timers, IRQs and device events fire
+  // at epoch boundaries on the global clock.
   template <bool Instrumented>
-  void RunMpLoop(Time until, bool parallel);
+  void RunMpLoop(Time until);
   // Serial: advances CPU `c` (picks/kernel work) until it has a user burst
   // staged (returns true), its lane reached `horizon`, or it idled.
   template <bool Instrumented>
@@ -474,10 +462,10 @@ class Kernel {
   // Serial: charges a finished burst and handles its trap on `c`'s lane.
   template <bool Instrumented>
   void MpConsume(Cpu& c);
-  // Runs every staged burst -- on the worker pool or a serial for-loop;
-  // the results are identical by construction (bursts share no state).
-  void MpRunBursts(bool parallel);
-  void MpMergeShards();
+  // Runs every staged burst in CPU order, with the engine options
+  // RunThreadT would pick for the same instrumentation state.
+  template <bool Instrumented>
+  void MpRunBursts();
   Thread* PickNextOn(Cpu& c);
   Space* AffinityRep(Space* s);
   void MergeAffinity(Space* a, Space* b);
@@ -510,7 +498,6 @@ class Kernel {
   Cpu* exec_cpu_ = nullptr;  // the CPU kernel work is executing on (serial)
   bool mp_running_ = false;  // inside RunMpLoop (gates cross-CPU accounting)
   int next_space_home_ = 0;  // round-robin CreateSpace home assignment
-  std::unique_ptr<MpPool> mp_pool_;  // lazy; parallel backend only
 
   std::vector<std::shared_ptr<Space>> spaces_;
   std::vector<std::shared_ptr<Thread>> threads_;

@@ -206,8 +206,8 @@ class Space final : public KernelObject, public MemoryBus {
 
   // --- CPU affinity domain (maintained by Kernel::HomeCpuOf/MergeAffinity;
   //     see kernel.h). Spaces connected by Mappings form a domain homed on
-  //     one CPU, so their shared frames are only ever touched by one host
-  //     thread during a parallel epoch. aff_rep is a union-find parent
+  //     one CPU, so user accesses to their shared frames all come from
+  //     that CPU's lane. aff_rep is a union-find parent
   //     (null = this space is its domain's representative); aff_home and
   //     aff_members are meaningful only on the representative. ---
   Space* aff_rep = nullptr;

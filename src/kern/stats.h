@@ -54,21 +54,6 @@ struct LogHistogram {
     }
   }
 
-  // Folds another histogram in (the per-CPU shard fold at the MP epoch
-  // barrier). Bucket counts, count and sum are plain sums and max is an
-  // associative/commutative max, so a fold in CPU order is independent of
-  // how the host scheduled the shard owners.
-  void Merge(const LogHistogram& o) {
-    for (int b = 0; b < kBuckets; ++b) {
-      buckets[b] += o.buckets[b];
-    }
-    count += o.count;
-    sum += o.sum;
-    if (o.max > max) {
-      max = o.max;
-    }
-  }
-
   bool empty() const { return count == 0; }
   Time Avg() const { return count == 0 ? 0 : sum / count; }
   Time Max() const { return max; }
@@ -192,19 +177,13 @@ struct KernelStats {
   uint64_t sched_bitmap_scans = 0;  // O(1) ready-bitmap picks (PickNext calls)
 
   // Multi-CPU epoch dispatcher (src/kern/dispatch.cc). Semantic counters:
-  // the epoch schedule is deterministic, so these are identical across both
-  // interpreter engines and both MP backends (serial and parallel) of the
-  // same workload -- tests/mp_test.cc compares them. All zero when
-  // num_cpus == 1.
+  // the epoch schedule is deterministic, so these are identical across the
+  // interpreter engines and traced/untraced runs of the same workload --
+  // tests/mp_test.cc pins them. All zero when num_cpus == 1.
   uint64_t mp_epochs = 0;          // epochs opened (barriers crossed)
   uint64_t cross_cpu_ipc = 0;      // wakeups targeting another CPU's queue
   uint64_t migrations = 0;         // threads re-homed by affinity-domain merges
   uint64_t shootdowns_remote = 0;  // TLB shootdowns against a remote CPU's space
-  // Host-side observability only (like tlb_*): phase-A barrier joins where
-  // at least one other CPU was still running, counted by the parallel
-  // backend's workers. Zero in the serial backend -- the only MP counter
-  // allowed to differ between backends.
-  uint64_t mp_barrier_waits = 0;
 
   // Incremental concurrent checkpointing (src/kern/ckpt.h, workloads/
   // checkpoint.*). Semantic counters: capture runs host-side between

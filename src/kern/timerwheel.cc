@@ -161,34 +161,35 @@ void TimerWheel::CascadeSlot(int level, int slot) {
   }
 }
 
+uint64_t TimerWheel::FirstWindow(int level, int* slot) const {
+  const uint64_t bm = occupied_[level];
+  const int shift = kSlotBits * level;
+  const int pos = static_cast<int>((cur_tick_ >> shift) & kSlotMask);
+  if (level == 0) {
+    // Level 0: slots pos..pos+63 map to ticks cur..cur+63.
+    const int dist = std::countr_zero(std::rotr(bm, pos));
+    *slot = (pos + dist) & static_cast<int>(kSlotMask);
+    return cur_tick_ + static_cast<uint64_t>(dist);
+  }
+  // Higher levels: the slot at the cursor position was cascaded when the
+  // cursor arrived there, so an occupied bit at `pos` means one full
+  // rotation away. The window starts at a multiple of 64^level.
+  const int dist = std::countr_zero(std::rotr(bm, (pos + 1) & kSlotMask)) + 1;
+  *slot = (pos + dist) & static_cast<int>(kSlotMask);
+  return ((cur_tick_ >> shift) + static_cast<uint64_t>(dist)) << shift;
+}
+
 uint64_t TimerWheel::NextBusyTick(uint64_t bound) const {
   // The next tick at which the cursor has real work: the first occupied
-  // slot at each level (a level-L slot matters when the cursor reaches the
-  // start of its 64^L-tick window), or a top-level wrap when the overflow
-  // list is non-empty. Used to leap over empty stretches after long idle
-  // advances instead of stepping 1 us at a time.
+  // slot's window start at each level (a level-L slot cascades when the
+  // cursor reaches it), or a top-level wrap when the overflow list is
+  // non-empty. Used to leap over empty stretches after long idle advances
+  // instead of stepping 1 us at a time.
   uint64_t best = bound;
   for (int level = 0; level < kLevels; ++level) {
-    const uint64_t bm = occupied_[level];
-    if (bm == 0) continue;
-    const int pos =
-        static_cast<int>((cur_tick_ >> (kSlotBits * level)) & kSlotMask);
-    uint64_t at;
-    if (level == 0) {
-      // Level 0: slots pos..pos+63 map to ticks cur..cur+63.
-      const int dist = std::countr_zero(std::rotr(bm, pos));
-      at = cur_tick_ + static_cast<uint64_t>(dist);
-    } else {
-      // Higher levels: the slot at the cursor position was cascaded when
-      // the cursor arrived there, so an occupied bit at `pos` means one
-      // full rotation away. Work happens when the cursor reaches the
-      // window start: a multiple of 64^level.
-      const int dist =
-          std::countr_zero(std::rotr(bm, (pos + 1) & kSlotMask)) + 1;
-      const uint64_t base = cur_tick_ >> (kSlotBits * level);
-      at = (base + static_cast<uint64_t>(dist)) << (kSlotBits * level);
-    }
-    best = std::min(best, at);
+    if (occupied_[level] == 0) continue;
+    int slot;
+    best = std::min(best, FirstWindow(level, &slot));
   }
   if (overflow_ != nullptr) {
     const uint64_t rot = 1ull << (kSlotBits * kLevels);
@@ -274,22 +275,16 @@ Time TimerWheel::NextDeadline() {
   if (cached_min_valid_) return cached_min_;
   // Recompute exactly: min over the due-soon heap top, the first occupied
   // slot of each level (slot order is time order within a level), and the
-  // overflow list.
+  // overflow list. Levels go low to high, and a level whose first window
+  // starts at or after the best deadline so far is skipped unwalked: by the
+  // window-start lower bound none of its entries can be earlier.
   SkimDueSoon();
   Time best = ~Time{0};
   if (!due_soon_.empty()) best = due_soon_.top()->when;
   for (int level = 0; level < kLevels; ++level) {
-    const uint64_t bm = occupied_[level];
-    if (bm == 0) continue;
-    const int pos =
-        static_cast<int>((cur_tick_ >> (kSlotBits * level)) & kSlotMask);
-    int dist;
-    if (level == 0) {
-      dist = std::countr_zero(std::rotr(bm, pos));
-    } else {
-      dist = std::countr_zero(std::rotr(bm, (pos + 1) & kSlotMask)) + 1;
-    }
-    const int slot = (pos + dist) & static_cast<int>(kSlotMask);
+    if (occupied_[level] == 0) continue;
+    int slot;
+    if ((FirstWindow(level, &slot) << kGranBits) >= best) continue;
     for (Entry* e = slots_[level][slot]; e != nullptr; e = e->next) {
       best = std::min(best, e->when);
     }

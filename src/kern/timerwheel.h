@@ -13,6 +13,16 @@
 // a higher-level slot boundary that slot's entries cascade down. Entries
 // whose delta exceeds the whole wheel sit on an overflow list.
 //
+// Window-start lower bound. Every entry in a slot has a tick at or after
+// the start of the window that slot currently stands for: a level-0 slot
+// is exactly one tick, and a level-L slot holds only entries placed (or
+// cascaded) into the 64^L-tick window that begins where the cursor will
+// next cross into it -- the crossing that cascades the slot. FirstWindow()
+// computes that start for a level's first occupied slot. NextBusyTick()
+// leaps the cursor to it, and NextDeadline() skips any level whose first
+// window starts at or after a deadline already found, so a slot of
+// thousands of parked long timeouts is not walked on every recompute.
+//
 // Determinism contract. The kernel fires timers merged with the EventQueue
 // in global (deadline, seq) order, with seqs minted from the EventQueue's
 // own counter at arm time -- so moving a timeout from the queue to the
@@ -72,7 +82,9 @@ class TimerWheel {
   bool empty() const { return live_ == 0; }
   uint64_t size() const { return live_; }
 
-  // Exact earliest pending deadline; only valid when !empty().
+  // Exact earliest pending deadline; only valid when !empty(). Cached; a
+  // recompute visits levels low to high and walks one slot chain per level
+  // that can still beat the best deadline found so far.
   Time NextDeadline();
 
   // The due (when <= now) entry with the smallest (when, seq), or null.
@@ -143,6 +155,10 @@ class TimerWheel {
   void ProcessBoundaries();
   // Next tick at which the wheel has any work, or `bound` if none before.
   uint64_t NextBusyTick(uint64_t bound) const;
+  // The first occupied slot of `level` (occupied_[level] != 0) in cursor
+  // order, stored to *slot, and the tick its window starts at: a lower
+  // bound on every entry's tick in that slot (see the header comment).
+  uint64_t FirstWindow(int level, int* slot) const;
 
   Entry* slots_[kLevels][kSlots] = {};
   uint64_t occupied_[kLevels] = {};  // per-level non-empty-slot bitmaps

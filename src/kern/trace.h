@@ -21,9 +21,9 @@
 // span/flow hooks as the engine route, so a trace-only armed run keeps the
 // direct-handoff and trivial-completion fast paths (what makes the stream
 // affordable at c1m scale). Fault plans and checkpointing still force the
-// slow path. The stream is bit-identical across both interpreter engines
-// and across serial/parallel MP backends -- tests assert equality of the
-// FNV-1a digest over the stream (src/kern/profile.h).
+// slow path. The stream is bit-identical across the interpreter engines
+// and across repeated MP runs -- tests assert equality of the FNV-1a digest
+// over the stream (src/kern/profile.h).
 //
 // An optional TraceSink observes every pushed event in stream order; the
 // binary writer (src/kern/trace_binary.h) attaches here so a full-fidelity

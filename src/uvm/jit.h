@@ -21,10 +21,8 @@
 // instruction counts) is bit-identical to the switch engine; the jit_*
 // counters are host-side only. Compilation is lazy (per-entry-PC hotness
 // counter, threshold kJitHotThreshold; cold bursts run the threaded
-// engine) and happens only on the main thread: the MP dispatcher pins
-// bursts of a program serial until Program::JitReady(), mirroring the
-// DecodedReady contract, after which the compiled arena is immutable and
-// safe to execute from any host thread.
+// engine); once compiled (Program::JitReady()) the arena is sealed and
+// never mutates again.
 
 #ifndef SRC_UVM_JIT_H_
 #define SRC_UVM_JIT_H_
@@ -90,18 +88,18 @@ class JitProgram {
   JitProgram& operator=(const JitProgram&) = delete;
 
   // True once compiled and sealed: entry stubs may be called, and nothing
-  // in this object mutates again (the MP pinning contract).
+  // in this object mutates again.
   bool ready() const { return ready_; }
   // True when a compile was attempted and the host refused executable
   // pages; the caller falls back to the threaded engine for good.
   bool failed() const { return failed_; }
 
   // Counts a burst entering at `pc` while cold; true once hot enough that
-  // the caller should Compile(). Main thread only.
+  // the caller should Compile().
   bool NoteEntry(uint32_t pc);
 
-  // Emits, patches and seals host code for the whole program. Main thread
-  // only. Returns ready(); on host refusal sets failed() instead. Counts
+  // Emits, patches and seals host code for the whole program. Returns
+  // ready(); on host refusal sets failed() instead. Counts
   // the emission into opts.jit_compiles / opts.jit_bytes and a fresh
   // predecode (the block sums come from Program::Decoded) into
   // opts.predecodes.

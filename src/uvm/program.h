@@ -58,19 +58,11 @@ class Program {
     return DecodedSlow(fresh);
   }
 
-  // True once the decoded cache is built AND linked: from then on the
-  // threaded engine only reads it, so concurrent bursts of this program may
-  // run on different host threads (the MP parallel backend checks this and
-  // runs first-touch bursts serially).
-  bool DecodedReady() const { return decoded_ != nullptr && decoded_->linked(); }
-
   // Per-program JIT state (hotness counters, then the sealed executable
   // arena), created on first use by the jit engine and destroyed -- arena
-  // unmapped -- with the program. Same caching discipline as Decoded():
-  // mutation (counting, compiling) happens only on the main thread while
-  // the MP dispatcher pins this program's bursts serial; JitReady() is the
-  // pinning predicate, after which the state is immutable and compiled
-  // bursts may run on any host thread.
+  // unmapped -- with the program. Same caching discipline as Decoded().
+  // JitReady() is true once the program is compiled and sealed (tests use
+  // it to observe hotness).
   JitProgram& JitState() const;
   bool JitReady() const;
 

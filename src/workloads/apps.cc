@@ -386,17 +386,18 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   // Client population. At num_cpus > 1 the clients are dealt round-robin
   // across one client space per CPU: CreateSpace assigns space-affinity
   // homes round-robin, so the population spreads over every CPU's run
-  // queue and the epoch dispatcher's phase-A bursts actually parallelize.
+  // queue and every CPU's lane has user bursts to run in each epoch.
   // (All spaces share the one program and the one server pool; nothing
   // about the per-client work changes.)
   const uint32_t shards =
       k.cfg.num_cpus > 1 ? static_cast<uint32_t>(k.cfg.num_cpus) : 1u;
+  // Covers the shared RPC buffers plus one 8-byte spill slot per handle
+  // (slots are indexed by thread_self, which follows the port refs), rounded
+  // up to whole pages: checkpoint images only carry page-aligned ranges.
   const uint32_t anon_size =
-      kC1mSlotBase - 0x10000 + 8 * (p.clients + kC1mPorts + 8);
+      (kC1mSlotBase - 0x10000 + 8 * (p.clients + kC1mPorts + 8) + kPageMask) & ~kPageMask;
   std::vector<std::shared_ptr<Space>> css;
   for (uint32_t s = 0; s < shards; ++s) {
-    // Covers the shared RPC buffers plus one 8-byte spill slot per handle
-    // (slots are indexed by thread_self, which follows the port refs).
     auto cs = k.CreateSpace(shards == 1 ? "c1m-client"
                                         : "c1m-client" + std::to_string(s));
     cs->SetAnonRange(0x10000, anon_size);

@@ -28,6 +28,7 @@
 
 #include "src/kern/inspect.h"
 #include "src/kern/profile.h"
+#include "src/workloads/apps.h"
 #include "src/workloads/checkpoint.h"
 #include "src/workloads/ckpt_image.h"
 #include "src/workloads/restart_log.h"
@@ -741,6 +742,61 @@ TEST(CkptRefusalTest, RefusesOutsideTheCheckpointableSubset) {
   const MachineRestoreResult r = RestoreMachine(k, delta, registry);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("unmerged delta"), std::string::npos) << r.error;
+}
+
+// c1m at 2000 clients, whose spill-slot range is not a whole number of
+// pages: the workload rounds its client spaces' anonymous range up to one,
+// so a mid-run capture decodes (the decoder still rejects unaligned ranges)
+// and the restored machine replays to the end state of the run it was
+// captured from.
+TEST(CkptC1mTest, UnalignedClientCountRestoresAndReplays) {
+  const KernelConfig cfg;
+  C1mParams p;
+  p.clients = 2000;
+  const Time budget = kNsPerMs * (2000 + 2ull * p.clients);
+  ProgramRegistry registry;
+  Kernel k(cfg, &registry);
+  const std::vector<Thread*> threads = BuildC1mWorkload(k, p);
+  for (const auto& t : k.threads()) {
+    registry.Register(t->program);
+  }
+
+  // 30 ms in, the clients are mid-way through their RPC/sleep rounds.
+  RunTo(k, 30 * kNsPerMs);
+  ConcurrentCkpt cc;
+  std::string err;
+  ASSERT_TRUE(cc.Begin(k, /*delta=*/false, &err)) << err;
+  for (int i = 0; !cc.done() && i < 10000; ++i) {
+    k.Run(k.clock.now() + kSlice);
+  }
+  ASSERT_TRUE(cc.done()) << "drain never completed";
+  MachineImage img = cc.Finish();
+  img.generation = 1;
+  MachineImage decoded;
+  ASSERT_TRUE(DeserializeImage(SerializeMachine(img), &decoded, &err)) << err;
+
+  // The captured run goes on uninterrupted to its end...
+  const Time deadline = k.clock.now() + budget;
+  for (Thread* t : threads) {
+    ASSERT_TRUE(k.RunUntilThreadDone(t, deadline - k.clock.now()));
+  }
+
+  // ...and the restored machine's clients and master finish there too.
+  Kernel k2(cfg);
+  const MachineRestoreResult r = RestoreMachine(k2, decoded, registry);
+  ASSERT_TRUE(r.ok) << r.error;
+  size_t finishers = 0;
+  const Time deadline2 = k2.clock.now() + budget;
+  for (Thread* t : r.threads) {
+    if (t->program->name() == "c1m-server") {
+      continue;  // the pool never exits
+    }
+    ++finishers;
+    ASSERT_TRUE(k2.RunUntilThreadDone(t, deadline2 - k2.clock.now()));
+    EXPECT_EQ(t->exit_code, 0u);
+  }
+  EXPECT_GT(finishers, 1000u);
+  EXPECT_EQ(FinalStateDigest(k2), FinalStateDigest(k));
 }
 
 // --- Observability surfaces ---

@@ -1,6 +1,6 @@
 // LogHistogram edge cases (bucket boundaries, saturation, empty-histogram
-// percentiles, the per-CPU shard Merge fold) and the virtual-time metrics
-// sampler's CSV/JSON series format.
+// percentiles, traced MP runs) and the virtual-time metrics sampler's
+// CSV/JSON series format.
 
 #include <fstream>
 #include <sstream>
@@ -73,70 +73,13 @@ TEST(LogHistogram, MaxBucketSaturatesWithoutOverflow) {
   EXPECT_EQ(LogHistogram::BucketUpper(LogHistogram::kBuckets - 1), ~static_cast<Time>(0));
 }
 
-TEST(LogHistogram, MergeEqualsDirectObservation) {
-  // The MP epoch-barrier fold: shards merged into the main histogram must
-  // be indistinguishable from one histogram that saw every value.
-  const std::vector<Time> shard_a = {1, 5, 100};
-  const std::vector<Time> shard_b = {7, static_cast<Time>(1) << 20};
-  LogHistogram a, b, direct;
-  for (Time v : shard_a) {
-    a.Add(v);
-    direct.Add(v);
-  }
-  for (Time v : shard_b) {
-    b.Add(v);
-    direct.Add(v);
-  }
-  LogHistogram merged = a;
-  merged.Merge(b);
-  EXPECT_EQ(merged.count, direct.count);
-  EXPECT_EQ(merged.sum, direct.sum);
-  EXPECT_EQ(merged.max, direct.max);
-  for (int i = 0; i < LogHistogram::kBuckets; ++i) {
-    EXPECT_EQ(merged.buckets[i], direct.buckets[i]) << "bucket " << i;
-  }
-  EXPECT_EQ(merged.Percentile(0.50), direct.Percentile(0.50));
-  EXPECT_EQ(merged.Percentile(0.95), direct.Percentile(0.95));
-
-  // Fold order must not matter (shards are folded in CPU order, but the
-  // result may not depend on it).
-  LogHistogram other = b;
-  other.Merge(a);
-  EXPECT_EQ(other.count, merged.count);
-  EXPECT_EQ(other.sum, merged.sum);
-  EXPECT_EQ(other.max, merged.max);
-  for (int i = 0; i < LogHistogram::kBuckets; ++i) {
-    EXPECT_EQ(other.buckets[i], merged.buckets[i]) << "bucket " << i;
-  }
-}
-
-TEST(LogHistogram, MergeWithEmptyIsIdentity) {
-  LogHistogram h;
-  h.Add(9);
-  h.Add(12);
-  const LogHistogram before = h;
-  LogHistogram empty;
-  h.Merge(empty);
-  EXPECT_EQ(h.count, before.count);
-  EXPECT_EQ(h.sum, before.sum);
-  EXPECT_EQ(h.max, before.max);
-
-  LogHistogram into;
-  into.Merge(before);
-  EXPECT_EQ(into.count, before.count);
-  EXPECT_EQ(into.sum, before.sum);
-  EXPECT_EQ(into.max, before.max);
-  EXPECT_EQ(into.Percentile(0.95), before.Percentile(0.95));
-}
-
-// Traced MP runs fold per-CPU shard histograms at the barrier; the merged
-// totals must match across the serial and parallel backends.
+// Traced MP runs observe block durations straight into the kernel's
+// histogram from every CPU's lane; the totals must repeat exactly.
 TEST(LogHistogram, MpShardFoldMatchesAcrossBackends) {
   LogHistogram counts[2];
   for (int i = 0; i < 2; ++i) {
     KernelConfig cfg;
     cfg.num_cpus = 4;
-    cfg.mp_parallel = (i == 1);
     SimpleWorld w(cfg);
     w.kernel.trace.SetCapacity(size_t{1} << 16);
     w.kernel.trace.Enable();

@@ -1,11 +1,10 @@
 // Multiprocessor configurations: the per-CPU epoch dispatcher
 // (src/kern/dispatch.cc). Threads are routed to CPUs by space-affinity
 // domain; each CPU runs its own virtual-time lane between epoch barriers,
-// with kernel work strictly serialized in CPU order. The acceptance bar is
-// determinism: the parallel backend (host worker threads for phase-A
-// interpreter bursts) must be bit-identical -- schedule digest, stats,
-// final state -- to the serial backend, in both interpreter engines, at
-// every CPU count.
+// with every phase run in CPU order. The acceptance bar is determinism: the
+// schedule digest, stats and final state are pinned at every CPU count, and
+// every interpreter engine and every repeat must reproduce them bit for
+// bit.
 
 #include <set>
 #include <string>
@@ -171,12 +170,13 @@ TEST(MpTest, CheckpointWorksUnderMp) {
   EXPECT_EQ(w.kernel.console.output(), "ok");
 }
 
-// --- Serial vs parallel backend equivalence -------------------------------
+// --- Pinned MP results -------------------------------------------------------
 //
 // The determinism witness: MpDigest folds every CPU's (lane, tid/event)
 // dispatch history in CPU order. The c1m storm (sharded client spaces, one
 // shared server pool, timer storms, the master's interrupt sweep) crosses
-// CPUs constantly; both backends and both engines must agree bit-for-bit.
+// CPUs constantly, so its digest and counters are pinned to constants;
+// every engine and every repeat must reproduce them.
 
 struct MpRun {
   bool completed = true;
@@ -193,10 +193,9 @@ struct MpRun {
   std::string dump;
 };
 
-MpRun RunC1mMp(ExecModel model, int cpus, bool parallel, bool threaded) {
+MpRun RunC1mMp(ExecModel model, int cpus, InterpEngine engine) {
   KernelConfig cfg = MpConfig(model, cpus);
-  cfg.mp_parallel = parallel;
-  cfg.enable_threaded_interp = threaded;
+  cfg.interp_engine = engine;
   Kernel k(cfg);
   C1mParams p;
   p.clients = 48;
@@ -239,28 +238,89 @@ void ExpectSameRun(const MpRun& a, const MpRun& b, const char* what) {
   EXPECT_EQ(a.dump, b.dump) << what;
 }
 
+// The 48-client storm's pinned results per CPU count. The run's semantic
+// totals do not depend on the CPU count: 825 syscalls, 3420 instructions.
+struct MpPin {
+  int cpus;
+  uint64_t mp_digest;
+  Time final_time;
+  uint64_t context_switches;
+  uint64_t mp_epochs;
+  uint64_t cross_cpu_ipc;
+};
+
+constexpr MpPin kProcessPins[] = {
+    {2, 0x7b4a0a98e3cf727dull, 10 * kNsPerMs, 605, 101, 256},
+    {4, 0x0325a35a80226a37ull, 10 * kNsPerMs, 557, 95, 384},
+    {8, 0x2a2df581f316da52ull, 10 * kNsPerMs, 510, 79, 449},
+};
+constexpr MpPin kInterruptPins[] = {
+    {2, 0xbb0acfe9c3719589ull, 10 * kNsPerMs, 611, 102, 257},
+    {4, 0x9458338f07e96629ull, 10 * kNsPerMs, 573, 98, 386},
+    {8, 0x07d76848acad9c67ull, 10 * kNsPerMs, 503, 81, 444},
+};
+
 class MpBackendTest : public testing::TestWithParam<ExecModel> {};
 
-TEST_P(MpBackendTest, SerialAndParallelBitIdenticalAcrossCpuCounts) {
-  for (int cpus : {2, 4, 8}) {
-    const MpRun serial = RunC1mMp(GetParam(), cpus, /*parallel=*/false, true);
-    const MpRun par = RunC1mMp(GetParam(), cpus, /*parallel=*/true, true);
-    ASSERT_TRUE(serial.completed) << cpus << " cpus";
-    ASSERT_TRUE(par.completed) << cpus << " cpus";
-    EXPECT_GT(serial.mp_epochs, 0u);
-    ExpectSameRun(serial, par, "serial vs parallel");
-    // Repeat of the parallel run: host scheduling must not leak in.
-    const MpRun par2 = RunC1mMp(GetParam(), cpus, /*parallel=*/true, true);
-    ExpectSameRun(par, par2, "parallel repeat");
+TEST_P(MpBackendTest, MatchesPinnedResultsAcrossCpuCounts) {
+  const auto& pins = GetParam() == ExecModel::kProcess ? kProcessPins : kInterruptPins;
+  for (const MpPin& pin : pins) {
+    const MpRun run = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kThreaded);
+    ASSERT_TRUE(run.completed) << pin.cpus << " cpus";
+    EXPECT_EQ(run.mp_digest, pin.mp_digest) << pin.cpus << " cpus";
+    EXPECT_EQ(run.final_time, pin.final_time) << pin.cpus << " cpus";
+    EXPECT_EQ(run.context_switches, pin.context_switches) << pin.cpus << " cpus";
+    EXPECT_EQ(run.mp_epochs, pin.mp_epochs) << pin.cpus << " cpus";
+    EXPECT_EQ(run.cross_cpu_ipc, pin.cross_cpu_ipc) << pin.cpus << " cpus";
+    EXPECT_EQ(run.syscalls, 825u) << pin.cpus << " cpus";
+    EXPECT_EQ(run.user_instructions, 3420u) << pin.cpus << " cpus";
+    // Same-process repeat: no state left behind by one kernel (program
+    // caches, the JIT arena, allocator reuse) may leak into the next.
+    const MpRun again = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kThreaded);
+    ExpectSameRun(run, again, "same-process repeat");
   }
 }
 
 TEST_P(MpBackendTest, EnginesBitIdenticalUnderMp) {
-  const MpRun threaded = RunC1mMp(GetParam(), 4, /*parallel=*/true, true);
-  const MpRun switched = RunC1mMp(GetParam(), 4, /*parallel=*/true, false);
+  const MpRun threaded = RunC1mMp(GetParam(), 4, InterpEngine::kThreaded);
   ASSERT_TRUE(threaded.completed);
-  ASSERT_TRUE(switched.completed);
-  ExpectSameRun(threaded, switched, "threaded vs switch engine");
+  for (const InterpEngine engine : {InterpEngine::kSwitch, InterpEngine::kJit}) {
+    const MpRun other = RunC1mMp(GetParam(), 4, engine);
+    ASSERT_TRUE(other.completed) << InterpEngineName(engine);
+    ExpectSameRun(threaded, other, InterpEngineName(engine));
+  }
+}
+
+// An instrumented run downgrades the JIT to the switch engine so every
+// burst retires at reference granularity -- under MP exactly as at 1 CPU.
+TEST(MpTest, InstrumentedRunsKeepTheJitOffAtEveryCpuCount) {
+  if (!JitCompiledIn() || !JitAvailable()) {
+    GTEST_SKIP() << "no JIT on this host";
+  }
+  for (const int cpus : {1, 4}) {
+    for (const bool traced : {false, true}) {
+      KernelConfig cfg = MpConfig(ExecModel::kProcess, cpus);
+      cfg.interp_engine = InterpEngine::kJit;
+      Kernel k(cfg);
+      if (traced) {
+        k.trace.SetCapacity(size_t{1} << 12);
+        k.trace.Enable();
+      }
+      C1mParams p;
+      p.clients = 48;
+      p.sweep_delay_us = 3000;
+      for (Thread* t : BuildC1mWorkload(k, p)) {
+        ASSERT_TRUE(k.RunUntilThreadDone(t, 4000 * kNsPerMs));
+      }
+      EXPECT_EQ(k.stats.user_instructions, 3420u);
+      if (traced) {
+        EXPECT_EQ(k.stats.jit_compiles, 0u) << cpus << " cpus";
+        EXPECT_EQ(k.stats.jit_block_entries, 0u) << cpus << " cpus";
+      } else {
+        EXPECT_GT(k.stats.jit_block_entries, 0u) << cpus << " cpus";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, MpBackendTest,

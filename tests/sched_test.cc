@@ -268,8 +268,8 @@ TEST_P(SchedTest, C1mScheduleDigestIdenticalAcrossRunsAndEngines) {
 // Same bar under MP: with 4 CPUs the dispatch-opportunity stream is the
 // merged per-CPU-round order, which must be just as repeatable across runs
 // and engines as the 1-CPU schedule. (The fault injector keeps the kernel on
-// the instrumented serial backend; serial-vs-parallel equivalence is
-// mp_test's job via the MP digest.)
+// the instrumented epoch loop; mp_test pins the uninstrumented one's MP
+// digest.)
 TEST_P(SchedTest, C1mScheduleDigestIdenticalUnderMp) {
   KernelConfig cfg = GetParam();
   cfg.num_cpus = 4;

@@ -30,6 +30,15 @@ struct RefEntry {
 // are unique.
 using RefModel = std::map<std::pair<Time, uint64_t>, uint64_t>;
 
+// The wheel's exact minimum must equal the reference's (when both are
+// non-empty).
+void ExpectSameMinimum(TimerWheel& w, const RefModel& ref, const char* after) {
+  ASSERT_EQ(w.size(), ref.size()) << after;
+  if (!ref.empty()) {
+    ASSERT_EQ(w.NextDeadline(), ref.begin()->first.first) << after;
+  }
+}
+
 // Drains everything due at `now` from both the wheel and the reference and
 // requires identical (when, seq, id) sequences.
 void DrainAndCompare(TimerWheel& w, RefModel& ref, Time now) {
@@ -153,6 +162,115 @@ TEST(TimerWheelTest, OverflowEntriesCascadeBackIn) {
   EXPECT_TRUE(w.empty());
 }
 
+// A wheel driven in lockstep with the reference, checking NextDeadline()
+// after every pop and cancel -- each pop or cancel of the minimum forces
+// an exact recompute, which must skip slots that cannot win without ever
+// missing one that can.
+class CheckedWheel {
+ public:
+  void Arm(Time when) {
+    const uint64_t id = next_id_++;
+    live_[id] = w_.Arm(when, seq_, Tag(id), 0);
+    ref_[{when, seq_}] = id;
+    ++seq_;
+  }
+  // Cancels the live entry with the given reference rank (0 = minimum).
+  void CancelRank(size_t rank) {
+    auto it = ref_.begin();
+    std::advance(it, static_cast<long>(rank));
+    const uint64_t id = it->second;
+    ref_.erase(it);
+    w_.Cancel(live_.at(id));
+    live_.erase(id);
+    ExpectSameMinimum(w_, ref_, "cancel");
+  }
+  // Pops everything due at `now` one entry at a time.
+  void PopDue(Time now) {
+    while (TimerWheel::Entry* e = w_.PopDue(now)) {
+      ASSERT_FALSE(ref_.empty());
+      const auto it = ref_.begin();
+      EXPECT_EQ(e->when, it->first.first);
+      EXPECT_EQ(e->seq, it->first.second);
+      live_.erase(it->second);
+      ref_.erase(it);
+      w_.Free(e);
+      ExpectSameMinimum(w_, ref_, "pop");
+    }
+    ASSERT_TRUE(ref_.empty() || ref_.begin()->first.first > now);
+  }
+  size_t size() const { return ref_.size(); }
+  TimerWheel& wheel() { return w_; }
+
+ private:
+  TimerWheel w_;
+  RefModel ref_;
+  std::map<uint64_t, TimerWheel::Entry*> live_;
+  uint64_t seq_ = 0;
+  uint64_t next_id_ = 0;
+};
+
+// The c1m-shaped input: two recomputes where a higher level must still be
+// walked, then the storm -- 4000 clients parked for ~20 ms in one level-2 slot
+// (ticks 16384..20479 at cursor 0) while a working set cycles through
+// 100-163 us think-time sleeps (level 1) and sub-64-us waits (level 0), and
+// the master's interrupt sweep cancels parks.
+void RunC1mShapedInput(std::mt19937_64& rng) {
+  constexpr Time kUs = 1000;
+  {
+    CheckedWheel c;
+    const Time level1 = (Time{74} << 10) + 3;  // tick 74: level 1, window 64
+    c.Arm(level1);
+    // Cursor to tick 63, one short of the level-1 window.
+    ASSERT_EQ(c.wheel().PeekDue(Time{62} << 10), nullptr);
+    c.Arm((Time{126} << 10) + 5);   // tick 126, delta 63: level 0
+    c.Arm((Time{63} << 10) + 100);  // the minimum, level 0
+    c.CancelRank(0);  // recompute: the level-1 entry must still win
+    EXPECT_EQ(c.wheel().NextDeadline(), level1);
+    c.PopDue(Time{200} << 10);
+    EXPECT_EQ(c.size(), 0u);
+  }
+  {
+    // Windows are not ordered by level: with the cursor at tick 4090, level
+    // 1's first window (4160) starts after the best level-0 entry (4100),
+    // but level 2's (4096) does not, and its entry wins.
+    CheckedWheel c;
+    const Time level2 = (Time{4097} << 10) + 7;  // delta 4097: level 2
+    c.Arm(level2);
+    ASSERT_EQ(c.wheel().PeekDue(Time{4089} << 10), nullptr);  // cursor 4090
+    c.Arm(Time{4100} << 10);         // level 0
+    c.Arm(Time{4200} << 10);         // delta 110: level 1, window 4160
+    c.Arm((Time{4090} << 10) + 1);  // the minimum, level 0
+    c.CancelRank(0);
+    EXPECT_EQ(c.wheel().NextDeadline(), level2);
+    c.PopDue(Time{5000} << 10);
+    EXPECT_EQ(c.size(), 0u);
+  }
+
+  // Every hop below is < 20 us, so the 3000 steps stay short of the parks.
+  CheckedWheel c;
+  for (int i = 0; i < 4000; ++i) {
+    c.Arm(17000 * kUs + rng() % (3000 * kUs));
+  }
+  Time now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint32_t op = static_cast<uint32_t>(rng() % 100);
+    if (op < 45) {
+      c.Arm(now + (100 + rng() % 64) * kUs);
+    } else if (op < 60) {
+      c.Arm(now + 1 + rng() % (60 * kUs));
+    } else if (op < 70) {
+      c.CancelRank(0);
+    } else if (op < 75) {
+      c.CancelRank(static_cast<size_t>(rng() % c.size()));
+    } else {
+      now += rng() % (20 * kUs);
+      c.PopDue(now);
+    }
+  }
+  c.PopDue(now + 30000 * kUs);  // past every park
+  EXPECT_EQ(c.size(), 0u);
+}
+
 TEST(TimerWheelTest, RandomizedAgainstSortedList) {
   std::mt19937_64 rng(0xf1u);
   TimerWheel w;
@@ -216,6 +334,8 @@ TEST(TimerWheelTest, RandomizedAgainstSortedList) {
   now += Time{1} << 61;
   DrainAndCompare(w, ref, now);
   EXPECT_TRUE(w.empty());
+
+  RunC1mShapedInput(rng);
 }
 
 }  // namespace

@@ -339,9 +339,9 @@ TEST_P(TraceKernelTest, CrossEngineTraceDigestsIdentical) {
 }
 
 // The same contract under MP: with 4 CPUs the trace is emitted in the merged
-// per-CPU-round order (tracing itself forces the instrumented serial
-// backend), and the full event stream must be bit-identical across repeated
-// runs and across both interpreter engines.
+// per-CPU-round order (tracing selects the instrumented epoch loop), and the
+// full event stream must be bit-identical across repeated runs and across
+// both interpreter engines.
 TEST_P(TraceKernelTest, MpTraceDigestsIdenticalAcrossRunsAndEngines) {
   KernelConfig sw = GetParam();
   sw.num_cpus = 4;

@@ -55,6 +55,10 @@ KNOWN_STATS_SCHEMAS = (1, 2)
 # speedups so the history shows which engine produced which rate.
 INTERP_ENGINE_ARGS = {"0": "switch", "1": "threaded", "2": "jit"}
 
+# google-benchmark reports real_time/cpu_time in each benchmark's time_unit
+# (BM_ThreadScale and BM_MpScale use ms); the report stores nanoseconds.
+NS_PER_TIME_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def interp_speedups(rates):
     """Per-benchmark jit/threaded speedups over the switch baseline."""
@@ -136,15 +140,24 @@ def run_bench(bench, min_time):
     return json.loads(proc.stdout)
 
 
+def to_ns(value, unit):
+    if value is None:
+        return None
+    if unit not in NS_PER_TIME_UNIT:
+        raise SystemExit(f"unknown benchmark time_unit {unit!r}")
+    return value * NS_PER_TIME_UNIT[unit]
+
+
 def distill(raw):
     out = []
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        unit = b.get("time_unit", "ns")
         entry = {
             "name": b["name"],
-            "real_time_ns": b.get("real_time"),
-            "cpu_time_ns": b.get("cpu_time"),
+            "real_time_ns": to_ns(b.get("real_time"), unit),
+            "cpu_time_ns": to_ns(b.get("cpu_time"), unit),
             "iterations": b.get("iterations"),
         }
         if "items_per_second" in b:
@@ -153,15 +166,14 @@ def distill(raw):
             entry["bytes_per_second"] = b["bytes_per_second"]
         # User counters exported by BM_ThreadScale (per-thread blocked-frame
         # memory and wakeup throughput, the paper's 100k-thread scaling axes),
-        # BM_MpScale (host time per c1m run, host speedup over the 1-CPU
-        # dispatcher, and the MP epoch/cross-CPU traffic that produced it),
+        # BM_MpScale (host time per c1m run and the MP epoch/cross-CPU
+        # traffic that produced it),
         # and BM_CkptOverhead (generations committed, serial-pause p95, and
         # how often a user write beat the background drain to a marked page).
         # ... and BM_TraceBinOverhead / BM_FlightRecorder (on-disk bytes per
         # trace event, host ms to cut one postmortem bundle).
         for counter in ("bytes_per_thread", "wakeups_per_vsec",
-                        "host_ms_per_run", "speedup_vs_1cpu",
-                        "mp_epochs", "cross_cpu_ipc",
+                        "host_ms_per_run", "mp_epochs", "cross_cpu_ipc",
                         "ckpt_generations", "ckpt_pause_p95_ns",
                         "ckpt_cow_saves", "bytes_per_event", "bundle_ms"):
             if counter in b:
@@ -286,11 +298,13 @@ def main():
 
     raw = run_bench(bench, args.min_time)
     existing = load_existing(args.out)
+    # "compiler" and "build_type" describe the simulator build (microbench
+    # adds them); "library_build_type" describes google-benchmark's.
     report = {
         "context": {
             k: raw.get("context", {}).get(k)
             for k in ("date", "host_name", "num_cpus", "mhz_per_cpu",
-                      "library_build_type")
+                      "compiler", "build_type", "library_build_type")
         },
         "benchmarks": distill(raw),
     }

@@ -13,9 +13,6 @@
 //   --cpus=N                      simulated CPUs (default 1). N > 1 runs the
 //                                 per-CPU epoch dispatcher; the rpc and c1m
 //                                 workloads shard across the CPUs
-//   --mp-serial                   run multi-CPU epochs on the serial backend
-//                                 (bit-identical to the parallel one; for
-//                                 A/B determinism checks)
 //   --anon=BYTES                  anonymous memory size  (default 16 MiB)
 //   --max-ms=N                    virtual time budget    (default 10000)
 //   --paged                       run under a user-mode demand pager instead
@@ -116,7 +113,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: fluke_run [--model=process|interrupt] [--preempt=np|pp|fp]\n"
-               "                 [--engine=switch|threaded|jit] [--cpus=N] [--mp-serial]\n"
+               "                 [--engine=switch|threaded|jit] [--cpus=N]\n"
                "                 [--anon=BYTES] [--max-ms=N] [--paged] [--stats] [--trace] [--ps]\n"
                "                 [--stats-json=FILE] [--trace-out=FILE] [--trace-bin=FILE]\n"
                "                 [--trace-cap=N] [--flight-recorder[=N]] [--flight-out=PREFIX]\n"
@@ -262,8 +259,6 @@ int Main(int argc, char** argv) {
       return 2;
     } else if (arg.rfind("--cpus=", 0) == 0) {
       cfg.num_cpus = static_cast<int>(std::stol(arg.substr(7), nullptr, 0));
-    } else if (arg == "--mp-serial") {
-      cfg.mp_parallel = false;
     } else if (arg.rfind("--anon=", 0) == 0) {
       anon_bytes = static_cast<uint32_t>(std::stoul(arg.substr(7), nullptr, 0));
     } else if (arg.rfind("--max-ms=", 0) == 0) {
@@ -434,8 +429,8 @@ int Main(int argc, char** argv) {
                             std::vector<std::string>* out_names) -> int {
     if (workload_rpc) {
       // Under MP, one independent client/server pair per CPU: the round-robin
-      // space homing lands each pair on its own CPU, so the epochs genuinely
-      // run user bursts in parallel.
+      // space homing lands each pair on its own CPU, so every CPU's lane
+      // runs user bursts in each epoch.
       const int pairs = cfg.num_cpus > 1 ? cfg.num_cpus : 1;
       for (int i = 0; i < pairs; ++i) {
         out->push_back(BuildRpcWorkload(k, rpc_rounds));
@@ -690,15 +685,12 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.sched_bitmap_scans));
     if (cfg.num_cpus > 1) {
       std::fprintf(stderr,
-                   "  mp: %d cpus (%s) | %llu epochs | %llu cross-cpu ipc | "
-                   "%llu migrations | %llu remote shootdowns | %llu barrier waits | "
-                   "digest %016llx\n",
-                   cfg.num_cpus, cfg.mp_parallel ? "parallel" : "serial",
-                   static_cast<unsigned long long>(s.mp_epochs),
+                   "  mp: %d cpus | %llu epochs | %llu cross-cpu ipc | "
+                   "%llu migrations | %llu remote shootdowns | digest %016llx\n",
+                   cfg.num_cpus, static_cast<unsigned long long>(s.mp_epochs),
                    static_cast<unsigned long long>(s.cross_cpu_ipc),
                    static_cast<unsigned long long>(s.migrations),
                    static_cast<unsigned long long>(s.shootdowns_remote),
-                   static_cast<unsigned long long>(s.mp_barrier_waits),
                    static_cast<unsigned long long>(kernel.MpDigest()));
       for (const Cpu& c : kernel.cpus()) {
         std::fprintf(stderr, "    cpu%d: %llu dispatches, %llu bursts\n", c.id,
