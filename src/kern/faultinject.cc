@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/base/wire.h"
+
 namespace fluke {
 
 const char* FaultHookName(FaultHook h) {
@@ -106,22 +108,16 @@ bool FaultInjector::FailConnect() {
 }
 
 uint64_t FaultInjector::ScheduleDigest() const {
-  uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  auto fold = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  };
+  wire::Fnv1a h;
   for (const uint64_t o : opportunities_) {
-    fold(o);
+    h.U64(o);
   }
-  fold(injected_);
+  h.U64(injected_);
   for (const Injection& inj : schedule_) {
-    fold(static_cast<uint64_t>(inj.hook));
-    fold(inj.opportunity);
+    h.U64(static_cast<uint64_t>(inj.hook));
+    h.U64(inj.opportunity);
   }
-  return h;
+  return h.value();
 }
 
 std::string FaultInjector::ScheduleSummary() const {

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "src/api/abi.h"
+#include "src/base/wire.h"
 
 namespace fluke {
 namespace {
@@ -198,23 +199,16 @@ std::string RenderProfile(const ProfileReport& p) {
 }
 
 uint64_t TraceDigest(const std::vector<TraceEvent>& events) {
-  uint64_t h = 14695981039346656037ull;
-  const uint64_t prime = 1099511628211ull;
-  auto mix = [&](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= prime;
-    }
-  };
+  wire::Fnv1a h;
   for (const TraceEvent& e : events) {
-    mix(e.when);
-    mix(e.span_id);
-    mix(e.thread_id);
-    mix(static_cast<uint64_t>(e.kind) | (static_cast<uint64_t>(e.phase) << 8));
-    mix((static_cast<uint64_t>(e.a) << 32) | e.b);
+    h.U64(e.when);
+    h.U64(e.span_id);
+    h.U64(e.thread_id);
+    h.U64(static_cast<uint64_t>(e.kind) | (static_cast<uint64_t>(e.phase) << 8));
+    h.U64((static_cast<uint64_t>(e.a) << 32) | e.b);
   }
-  mix(events.size());
-  return h;
+  h.U64(events.size());
+  return h.value();
 }
 
 }  // namespace fluke

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/api/abi.h"
+#include "src/base/wire.h"
 #include "src/kern/kernel.h"
 #include "src/kern/trace_export.h"
 
@@ -14,49 +15,6 @@ constexpr uint8_t kVersion = 1;
 constexpr uint8_t kChunkStrings = 'S';
 constexpr uint8_t kChunkEvents = 'E';
 constexpr uint8_t kChunkMeta = 'M';
-
-// Reflected CRC-32 (IEEE 802.3), the same polynomial the checkpoint image
-// format uses (src/workloads/ckpt_image.cc): each chunk is guarded
-// independently so corruption is localized on read. Computed slicing-by-8
-// (eight table lookups per 8 input bytes) because the writer checksums every
-// event chunk on the tracing hot path; the value is identical to the
-// byte-at-a-time construction.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[8][256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[0][i] = c;
-    }
-    for (int t = 1; t < 8; ++t) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        table[t][i] = table[0][table[t - 1][i] & 0xFF] ^ (table[t - 1][i] >> 8);
-      }
-    }
-    ready = true;
-  }
-  uint32_t crc = 0xFFFFFFFFu;
-  while (len >= 8) {
-    const uint32_t lo = crc ^ (static_cast<uint32_t>(data[0]) | static_cast<uint32_t>(data[1]) << 8 |
-                               static_cast<uint32_t>(data[2]) << 16 |
-                               static_cast<uint32_t>(data[3]) << 24);
-    const uint32_t hi = static_cast<uint32_t>(data[4]) | static_cast<uint32_t>(data[5]) << 8 |
-                        static_cast<uint32_t>(data[6]) << 16 | static_cast<uint32_t>(data[7]) << 24;
-    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^ table[5][(lo >> 16) & 0xFF] ^
-          table[4][lo >> 24] ^ table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
-          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
-    data += 8;
-    len -= 8;
-  }
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void PutVar(std::vector<uint8_t>* out, uint64_t v) {
   while (v >= 0x80) {
@@ -87,8 +45,7 @@ struct ByteReader {
     if (end - p < 4) {
       return false;
     }
-    *v = static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+    *v = wire::LoadLe32(p);
     p += 4;
     return true;
   }
@@ -187,13 +144,9 @@ void TraceBinaryWriter::WriteChunk(uint8_t type, uint32_t count, const uint8_t* 
   }
   uint8_t head[13];
   head[0] = type;
-  const uint32_t len32 = static_cast<uint32_t>(len);
-  const uint32_t crc = Crc32(payload, len);
-  for (int i = 0; i < 4; ++i) {
-    head[1 + i] = static_cast<uint8_t>(count >> (8 * i));
-    head[5 + i] = static_cast<uint8_t>(len32 >> (8 * i));
-    head[9 + i] = static_cast<uint8_t>(crc >> (8 * i));
-  }
+  wire::StoreLe32(head + 1, count);
+  wire::StoreLe32(head + 5, static_cast<uint32_t>(len));
+  wire::StoreLe32(head + 9, wire::Crc32(payload, len));
   std::fwrite(head, 1, sizeof(head), f_);
   std::fwrite(payload, 1, len, f_);
   bytes_written_ += sizeof(head) + len;
@@ -270,7 +223,7 @@ bool ReadTraceBinary(const std::string& path, TraceBinaryData* out, std::string*
     if (static_cast<size_t>(r.end - r.p) < len) {
       return fail("truncated chunk payload at chunk " + std::to_string(chunk_index));
     }
-    if (Crc32(r.p, len) != crc) {
+    if (wire::Crc32(r.p, len) != crc) {
       return fail("CRC mismatch at chunk " + std::to_string(chunk_index));
     }
     ByteReader c{r.p, r.p + len};

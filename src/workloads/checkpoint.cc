@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 #include <cassert>
@@ -448,9 +450,15 @@ bool ConcurrentCkpt::Begin(Kernel& k, bool delta, std::string* error, bool stw) 
     return false;
   }
   std::vector<Space*> live;
+  std::unordered_set<std::string_view> names;
   for (const auto& s : k.spaces()) {
     if (s->alive()) {
       live.push_back(s.get());
+      // A delta's spaces pair with their parent's by name at merge time.
+      if (delta && !names.insert(s->name()).second) {
+        *error = "delta checkpoint of live spaces that share the name \"" + s->name() + "\"";
+        return false;
+      }
     }
   }
   img_ = MachineImage{};
@@ -766,24 +774,27 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
   return r;
 }
 
-bool MergeImageChain(const std::vector<const MachineImage*>& chain, MachineImage* out,
-                     std::string* error) {
+bool MergeImageChain(std::vector<MachineImage> chain, MachineImage* out, std::string* error) {
   if (chain.empty()) {
     *error = "empty image chain";
     return false;
   }
-  if (chain[0]->base_generation != 0) {
+  if (chain[0].base_generation != 0) {
     *error = "chain does not start with a full image";
     return false;
   }
-  MachineImage merged = *chain[0];
+  auto duplicate = [error](const std::string& name) {
+    *error = "duplicate space name \"" + name + "\" in a delta chain";
+    return false;
+  };
   for (size_t ci = 1; ci < chain.size(); ++ci) {
-    const MachineImage& d = *chain[ci];
+    MachineImage& base = chain[ci - 1];
+    MachineImage& d = chain[ci];
     if (d.base_generation == 0) {
       *error = "unexpected full image inside a delta chain";
       return false;
     }
-    if (d.base_generation != merged.generation) {
+    if (d.base_generation != base.generation) {
       *error = "generation gap in delta chain";
       return false;
     }
@@ -791,21 +802,28 @@ bool MergeImageChain(const std::vector<const MachineImage*>& chain, MachineImage
     // is authoritative; page data comes from the delta where present --
     // pages dirtied since the parent -- and from the accumulated base
     // otherwise. The resident directory filters out pages unmapped since.
-    std::unordered_map<std::string, const MachineImage::SpaceImage*> prev;
-    for (const auto& s : merged.spaces) {
-      prev.emplace(s.name, &s);
+    // Each page is moved at most once: a lookup that finds none is missing
+    // data, never a moved-from page.
+    std::unordered_map<std::string_view, MachineImage::SpaceImage*> prev;
+    for (auto& s : base.spaces) {
+      if (!prev.emplace(s.name, &s).second) {
+        return duplicate(s.name);
+      }
     }
-    MachineImage next = d;
-    for (auto& s : next.spaces) {
+    std::unordered_set<std::string_view> seen;
+    for (auto& s : d.spaces) {
+      if (!seen.insert(s.name).second) {
+        return duplicate(s.name);
+      }
       std::unordered_map<uint32_t, CheckpointImage::PageImage*> have;
       for (auto& p : s.pages) {
         have.emplace(p.vaddr, &p);
       }
-      std::unordered_map<uint32_t, const CheckpointImage::PageImage*> base;
+      std::unordered_map<uint32_t, CheckpointImage::PageImage*> older;
       auto pit = prev.find(s.name);
       if (pit != prev.end()) {
-        for (const auto& p : pit->second->pages) {
-          base.emplace(p.vaddr, &p);
+        for (auto& p : pit->second->pages) {
+          older.emplace(p.vaddr, &p);
         }
       }
       std::vector<CheckpointImage::PageImage> full;
@@ -814,24 +832,24 @@ bool MergeImageChain(const std::vector<const MachineImage*>& chain, MachineImage
         auto hit = have.find(rp.vaddr);
         if (hit != have.end()) {
           full.push_back(std::move(*hit->second));
+          have.erase(hit);
           continue;
         }
-        auto bit = base.find(rp.vaddr);
-        if (bit == base.end()) {
+        auto bit = older.find(rp.vaddr);
+        if (bit == older.end()) {
           *error = "delta chain missing page data for a resident page";
           return false;
         }
-        CheckpointImage::PageImage pi = *bit->second;
-        pi.prot = rp.prot;
-        full.push_back(std::move(pi));
+        full.push_back(std::move(*bit->second));
+        full.back().prot = rp.prot;
+        older.erase(bit);
       }
       s.pages = std::move(full);
     }
-    next.base_generation = 0;
-    next.parent_digest = 0;
-    merged = std::move(next);
+    d.base_generation = 0;
+    d.parent_digest = 0;
   }
-  *out = std::move(merged);
+  *out = std::move(chain.back());
   return true;
 }
 

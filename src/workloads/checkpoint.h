@@ -193,7 +193,8 @@ class ConcurrentCkpt {
   ~ConcurrentCkpt() { Abort(); }
 
   // `delta` captures only pages dirtied since the previous capture (refused
-  // unless this kernel has completed a capture before). `stw` is the
+  // unless this kernel has completed a capture before, and refused while two
+  // live spaces share a name: the merge pairs spaces by name). `stw` is the
   // stop-the-world cost model: the recorded pause covers copying every page
   // rather than marking it (used by CaptureMachine; the image itself is
   // identical either way).
@@ -231,11 +232,14 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
 
 // Merges a delta chain, oldest first (chain[0] must be a full image), into
 // one full image carrying the newest generation's metadata and resident
-// set. Returns false with `error` set on a malformed chain (generation gap,
-// base/full mismatch). Digest validation is the loader's job
-// (workloads/restart_log.h); this checks structure only.
-bool MergeImageChain(const std::vector<const MachineImage*>& chain, MachineImage* out,
-                     std::string* error);
+// set. Consumes the chain: page data moves into the result. A delta's spaces
+// pair with their parent's by name, so every image past a full one must
+// name its spaces uniquely (ConcurrentCkpt::Begin refuses such a delta).
+// Returns false with `error` set on a malformed chain (generation gap,
+// base/full mismatch, duplicate space names, missing page data). Digest
+// validation is the loader's job (workloads/restart_log.h); this checks
+// structure only.
+bool MergeImageChain(std::vector<MachineImage> chain, MachineImage* out, std::string* error);
 
 }  // namespace fluke
 

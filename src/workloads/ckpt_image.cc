@@ -1,99 +1,21 @@
 #include "src/workloads/ckpt_image.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "src/base/wire.h"
 
 namespace fluke {
 
 namespace {
 
-// Reflected CRC-32 (IEEE 802.3 polynomial), table built on first use. Guards
-// the whole stream: structural fields AND page contents, which the parser's
-// bounds checks alone cannot vouch for.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    ready = true;
-  }
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
+using wire::Reader;
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutStr(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-class Reader {
- public:
-  Reader(const std::vector<uint8_t>& b, std::string* error) : b_(b), error_(error) {}
-
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > b_.size()) {
-      return Fail("truncated u32");
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(b_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool Str(std::string* s, uint32_t max_len = 4096) {
-    uint32_t n = 0;
-    if (!U32(&n)) {
-      return false;
-    }
-    if (n > max_len || pos_ + n > b_.size()) {
-      return Fail("bad string length");
-    }
-    s->assign(reinterpret_cast<const char*>(b_.data() + pos_), n);
-    pos_ += n;
-    return true;
-  }
-  bool Bytes(std::vector<uint8_t>* v, uint32_t n) {
-    if (pos_ + n > b_.size()) {
-      return Fail("truncated bytes");
-    }
-    v->assign(b_.begin() + static_cast<long>(pos_), b_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return true;
-  }
-  bool Fail(const char* why) {
-    *error_ = std::string(why) + " at offset " + std::to_string(pos_);
-    return false;
-  }
-  bool AtEnd() const { return pos_ == b_.size(); }
-  size_t pos() const { return pos_; }
-
- private:
-  const std::vector<uint8_t>& b_;
-  std::string* error_;
-  size_t pos_ = 0;
-};
-
-void PutThreadState(std::vector<uint8_t>* out, const ThreadState& s) {
+template <class W>
+void PutThreadState(W& w, const ThreadState& s) {
   uint32_t words[kThreadStateWords];
   ThreadStateToWords(s, words);
-  for (uint32_t w : words) {
-    PutU32(out, w);
+  for (uint32_t word : words) {
+    w.U32(word);
   }
 }
 
@@ -108,40 +30,45 @@ bool GetThreadState(Reader& r, ThreadState* s) {
   return true;
 }
 
+// The v2 stream. The CRC trailer guards the whole stream: structural fields
+// AND page contents, which the parser's bounds checks alone cannot vouch for.
+template <class W>
+void EmitCheckpoint(const CheckpointImage& img, W& w) {
+  w.U32(kCkptMagic);
+  w.U32(kCkptVersion);
+  w.Str(img.space_name);
+  w.Str(img.program_name);
+  w.U32(img.anon_base);
+  w.U32(img.anon_size);
+
+  w.U32(static_cast<uint32_t>(img.threads.size()));
+  for (const auto& t : img.threads) {
+    PutThreadState(w, t.state);
+    w.Str(t.program_name);
+    w.U32(t.was_runnable ? 1 : 0);
+  }
+
+  w.U32(static_cast<uint32_t>(img.pages.size()));
+  for (const auto& p : img.pages) {
+    w.U32(p.vaddr);
+    w.U32(p.prot);
+    w.Bytes(p.data.data(), p.data.size());
+  }
+
+  w.U32(static_cast<uint32_t>(img.objects.size()));
+  for (const auto& o : img.objects) {
+    w.U32(static_cast<uint32_t>(o.kind));
+    w.U32(static_cast<uint32_t>(o.thread_index));
+    w.U32(o.mutex_locked ? 1 : 0);
+    w.U32(static_cast<uint32_t>(o.mutex_owner_thread));
+  }
+  w.Crc32Since(0);
+}
+
 }  // namespace
 
 std::vector<uint8_t> SerializeCheckpoint(const CheckpointImage& img) {
-  std::vector<uint8_t> out;
-  PutU32(&out, kCkptMagic);
-  PutU32(&out, kCkptVersion);
-  PutStr(&out, img.space_name);
-  PutStr(&out, img.program_name);
-  PutU32(&out, img.anon_base);
-  PutU32(&out, img.anon_size);
-
-  PutU32(&out, static_cast<uint32_t>(img.threads.size()));
-  for (const auto& t : img.threads) {
-    PutThreadState(&out, t.state);
-    PutStr(&out, t.program_name);
-    PutU32(&out, t.was_runnable ? 1 : 0);
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.pages.size()));
-  for (const auto& p : img.pages) {
-    PutU32(&out, p.vaddr);
-    PutU32(&out, p.prot);
-    out.insert(out.end(), p.data.begin(), p.data.end());
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.objects.size()));
-  for (const auto& o : img.objects) {
-    PutU32(&out, static_cast<uint32_t>(o.kind));
-    PutU32(&out, static_cast<uint32_t>(o.thread_index));
-    PutU32(&out, o.mutex_locked ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(o.mutex_owner_thread));
-  }
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return out;
+  return wire::Encode([&img](auto& w) { EmitCheckpoint(img, w); });
 }
 
 bool DeserializeCheckpoint(const std::vector<uint8_t>& bytes, CheckpointImage* out,
@@ -227,7 +154,7 @@ bool DeserializeCheckpoint(const std::vector<uint8_t>& bytes, CheckpointImage* o
   if (!r.AtEnd()) {
     return r.Fail("trailing bytes");
   }
-  if (Crc32(bytes.data(), payload_end) != crc_stored) {
+  if (wire::Crc32(bytes.data(), payload_end) != crc_stored) {
     return r.Fail("checksum mismatch");
   }
 
@@ -288,111 +215,96 @@ namespace {
 // future partial-fetch transport) can name the damaged extent.
 constexpr uint32_t kPagesPerChunk = 64;
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+// The v3 stream: header, metadata sections, then each space's pages in
+// chunks, each chunk followed by its CRC, then the whole-stream CRC.
+template <class W>
+void EmitMachine(const MachineImage& img, W& w) {
+  w.U32(kCkptMagic);
+  w.U32(kCkptVersion3);
+  w.U32(img.base_generation != 0 ? 1u : 0u);  // flags: bit0 = delta
+  w.U32(img.generation);
+  w.U32(img.base_generation);
+  w.U64(img.parent_digest);
+  w.U64(static_cast<uint64_t>(img.clock_ns));
 
-bool GetU64(Reader& r, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!r.U32(&lo) || !r.U32(&hi)) {
-    return false;
+  w.U32(static_cast<uint32_t>(img.spaces.size()));
+  for (const auto& s : img.spaces) {
+    w.Str(s.name);
+    w.Str(s.program_name);
+    w.U32(s.anon_base);
+    w.U32(s.anon_size);
+    w.U32(static_cast<uint32_t>(s.resident.size()));
+    for (const auto& rp : s.resident) {
+      w.U32(rp.vaddr);
+      w.U32(rp.prot);
+    }
+    w.U32(static_cast<uint32_t>(s.objects.size()));
+    for (const auto& o : s.objects) {
+      w.U32(static_cast<uint32_t>(o.kind));
+      w.U32(static_cast<uint32_t>(o.index));
+      w.U32(o.mutex_locked ? 1 : 0);
+      w.U32(static_cast<uint32_t>(o.mutex_owner_thread));
+    }
   }
-  *v = (static_cast<uint64_t>(hi) << 32) | lo;
-  return true;
+
+  w.U32(static_cast<uint32_t>(img.ports.size()));
+  for (const auto& p : img.ports) {
+    w.U32(p.badge);
+    w.U32(static_cast<uint32_t>(p.kmsgs.size()));
+    for (const auto& m : p.kmsgs) {
+      for (uint32_t word : m.words) {
+        w.U32(word);
+      }
+      w.U32(m.len);
+      w.U32(m.badge);
+    }
+  }
+  w.U32(static_cast<uint32_t>(img.portsets.size()));
+  for (const auto& ps : img.portsets) {
+    w.U32(static_cast<uint32_t>(ps.member_ports.size()));
+    for (uint32_t key : ps.member_ports) {
+      w.U32(key);
+    }
+  }
+
+  w.U32(static_cast<uint32_t>(img.threads.size()));
+  for (const auto& t : img.threads) {
+    w.U32(t.space_index);
+    PutThreadState(w, t.state);
+    w.Str(t.program_name);
+    w.U32(t.was_runnable ? 1 : 0);
+    w.U32(static_cast<uint32_t>(t.ipc_peer));
+    w.U32(t.ipc_is_server ? 1 : 0);
+    w.U32(t.port_badge);
+  }
+
+  for (const auto& s : img.spaces) {
+    w.U32(static_cast<uint32_t>(s.pages.size()));
+    size_t chunk_start = w.size();
+    uint32_t in_chunk = 0;
+    for (size_t i = 0; i < s.pages.size(); ++i) {
+      const auto& p = s.pages[i];
+      w.U32(p.vaddr);
+      w.U32(p.prot);
+      w.Bytes(p.data.data(), p.data.size());
+      if (++in_chunk == kPagesPerChunk || i + 1 == s.pages.size()) {
+        w.Crc32Since(chunk_start);
+        chunk_start = w.size();
+        in_chunk = 0;
+      }
+    }
+  }
+  w.Crc32Since(0);
 }
 
 }  // namespace
 
 uint64_t ImageDigest(const std::vector<uint8_t>& bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (uint8_t b : bytes) {
-    h = (h ^ b) * 1099511628211ull;
-  }
-  return h;
+  return wire::Xxh64(bytes.data(), bytes.size());
 }
 
 std::vector<uint8_t> SerializeMachine(const MachineImage& img) {
-  std::vector<uint8_t> out;
-  PutU32(&out, kCkptMagic);
-  PutU32(&out, kCkptVersion3);
-  PutU32(&out, img.base_generation != 0 ? 1u : 0u);  // flags: bit0 = delta
-  PutU32(&out, img.generation);
-  PutU32(&out, img.base_generation);
-  PutU64(&out, img.parent_digest);
-  PutU64(&out, static_cast<uint64_t>(img.clock_ns));
-
-  PutU32(&out, static_cast<uint32_t>(img.spaces.size()));
-  for (const auto& s : img.spaces) {
-    PutStr(&out, s.name);
-    PutStr(&out, s.program_name);
-    PutU32(&out, s.anon_base);
-    PutU32(&out, s.anon_size);
-    PutU32(&out, static_cast<uint32_t>(s.resident.size()));
-    for (const auto& rp : s.resident) {
-      PutU32(&out, rp.vaddr);
-      PutU32(&out, rp.prot);
-    }
-    PutU32(&out, static_cast<uint32_t>(s.objects.size()));
-    for (const auto& o : s.objects) {
-      PutU32(&out, static_cast<uint32_t>(o.kind));
-      PutU32(&out, static_cast<uint32_t>(o.index));
-      PutU32(&out, o.mutex_locked ? 1 : 0);
-      PutU32(&out, static_cast<uint32_t>(o.mutex_owner_thread));
-    }
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.ports.size()));
-  for (const auto& p : img.ports) {
-    PutU32(&out, p.badge);
-    PutU32(&out, static_cast<uint32_t>(p.kmsgs.size()));
-    for (const auto& m : p.kmsgs) {
-      for (uint32_t w : m.words) {
-        PutU32(&out, w);
-      }
-      PutU32(&out, m.len);
-      PutU32(&out, m.badge);
-    }
-  }
-  PutU32(&out, static_cast<uint32_t>(img.portsets.size()));
-  for (const auto& ps : img.portsets) {
-    PutU32(&out, static_cast<uint32_t>(ps.member_ports.size()));
-    for (uint32_t key : ps.member_ports) {
-      PutU32(&out, key);
-    }
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.threads.size()));
-  for (const auto& t : img.threads) {
-    PutU32(&out, t.space_index);
-    PutThreadState(&out, t.state);
-    PutStr(&out, t.program_name);
-    PutU32(&out, t.was_runnable ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(t.ipc_peer));
-    PutU32(&out, t.ipc_is_server ? 1 : 0);
-    PutU32(&out, t.port_badge);
-  }
-
-  // Page sections last, chunked with per-chunk CRCs.
-  for (const auto& s : img.spaces) {
-    PutU32(&out, static_cast<uint32_t>(s.pages.size()));
-    size_t chunk_start = out.size();
-    uint32_t in_chunk = 0;
-    for (size_t i = 0; i < s.pages.size(); ++i) {
-      const auto& p = s.pages[i];
-      PutU32(&out, p.vaddr);
-      PutU32(&out, p.prot);
-      out.insert(out.end(), p.data.begin(), p.data.end());
-      if (++in_chunk == kPagesPerChunk || i + 1 == s.pages.size()) {
-        PutU32(&out, Crc32(out.data() + chunk_start, out.size() - chunk_start));
-        chunk_start = out.size();
-        in_chunk = 0;
-      }
-    }
-  }
-
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return out;
+  return wire::Encode([&img](auto& w) { EmitMachine(img, w); });
 }
 
 namespace {
@@ -483,7 +395,7 @@ bool DeserializeImage(const std::vector<uint8_t>& bytes, MachineImage* out,
   }
   uint64_t clock = 0;
   if (!r.U32(&out->generation) || !r.U32(&out->base_generation) ||
-      !GetU64(r, &out->parent_digest) || !GetU64(r, &clock)) {
+      !r.U64(&out->parent_digest) || !r.U64(&clock)) {
     return false;
   }
   out->clock_ns = static_cast<Time>(clock);
@@ -635,7 +547,7 @@ bool DeserializeImage(const std::vector<uint8_t>& bytes, MachineImage* out,
         if (!r.U32(&crc_stored)) {
           return false;
         }
-        if (Crc32(bytes.data() + chunk_start, chunk_end - chunk_start) != crc_stored) {
+        if (wire::Crc32(bytes.data() + chunk_start, chunk_end - chunk_start) != crc_stored) {
           return r.Fail("page chunk checksum mismatch");
         }
         chunk_start = r.pos();
@@ -652,7 +564,7 @@ bool DeserializeImage(const std::vector<uint8_t>& bytes, MachineImage* out,
   if (!r.AtEnd()) {
     return r.Fail("trailing bytes");
   }
-  if (Crc32(bytes.data(), payload_end) != crc_stored) {
+  if (wire::Crc32(bytes.data(), payload_end) != crc_stored) {
     return r.Fail("checksum mismatch");
   }
 

@@ -47,8 +47,10 @@ std::vector<uint8_t> SerializeMachine(const MachineImage& img);
 bool DeserializeImage(const std::vector<uint8_t>& bytes, MachineImage* out,
                       std::string* error);
 
-// FNV-1a over the serialized stream: the identity a delta image's
+// XXH64 (seed 0) over the serialized stream: the identity a delta image's
 // parent_digest names, and what the restart log records per generation.
+// Stores written when this was FNV-1a fail recovery with "image digest
+// mismatch" (DESIGN.md, "Wire toolkit").
 uint64_t ImageDigest(const std::vector<uint8_t>& bytes);
 
 }  // namespace fluke

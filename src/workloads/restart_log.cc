@@ -1,60 +1,14 @@
 #include "src/workloads/restart_log.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "src/base/wire.h"
 #include "src/workloads/ckpt_image.h"
 
 namespace fluke {
-
-namespace {
-
-// Same reflected CRC-32 the image streams use (ckpt_image.cc); duplicated
-// here because the log guards its own records independently of any image.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    ready = true;
-  }
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 bool FileCkptStore::Put(const std::string& name, const std::vector<uint8_t>& bytes) {
   std::error_code ec;
@@ -98,15 +52,13 @@ bool CommitGeneration(CkptStore& store, uint64_t gen, const std::vector<uint8_t>
   if (!store.Put(CkptImageName(gen), bytes)) {
     return false;
   }
-  std::vector<uint8_t> rec;
-  rec.reserve(kRestartRecordBytes);
-  PutU64(&rec, gen);
-  PutU64(&rec, ImageDigest(bytes));
-  PutU64(&rec, bytes.size());
-  const uint32_t crc = Crc32(rec.data(), rec.size());
-  for (int i = 0; i < 4; ++i) {
-    rec.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
+  const uint64_t digest = ImageDigest(bytes);
+  const std::vector<uint8_t> rec = wire::Encode([&](auto& w) {
+    w.U64(gen);
+    w.U64(digest);
+    w.U64(bytes.size());
+    w.Crc32Since(0);
+  });
   return store.Append(kRestartLogName, rec);
 }
 
@@ -118,10 +70,10 @@ std::vector<RestartRecord> ReadRestartLog(const CkptStore& store) {
   }
   for (size_t off = 0; off + kRestartRecordBytes <= raw.size(); off += kRestartRecordBytes) {
     const uint8_t* p = raw.data() + off;
-    if (Crc32(p, 24) != GetU32(p + 24)) {
+    if (wire::Crc32(p, 24) != wire::LoadLe32(p + 24)) {
       break;  // corrupt record: trust nothing at or after it
     }
-    out.push_back({GetU64(p), GetU64(p + 8), GetU64(p + 16)});
+    out.push_back({wire::LoadLe64(p), wire::LoadLe64(p + 8), wire::LoadLe64(p + 16)});
   }
   return out;  // a torn tail (partial record) is simply never reached
 }
@@ -164,22 +116,20 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
     return true;
   };
 
-  // Walk parent links newest-to-oldest, then merge oldest-first.
+  // Walk parent links newest-to-oldest, then merge oldest-first. fetch() has
+  // checked every image's bytes against its log record's digest, so a
+  // delta's parent link is checked against that record instead of hashing
+  // the parent again.
   std::vector<MachineImage> images;
   std::vector<uint8_t> bytes;
   MachineImage img;
   if (!fetch(log[rec_index], &bytes, &img)) {
     return false;
   }
-  uint64_t expect_parent_digest = 0;
   while (true) {
     const bool is_delta = img.base_generation != 0;
     const uint32_t parent_gen = img.base_generation;
     const uint64_t parent_digest = img.parent_digest;
-    if (!images.empty() && expect_parent_digest != ImageDigest(bytes)) {
-      *error = "parent digest mismatch at generation " + std::to_string(img.generation);
-      return false;
-    }
     images.push_back(std::move(img));
     if (!is_delta) {
       break;
@@ -195,17 +145,16 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
                std::to_string(parent_gen);
       return false;
     }
-    expect_parent_digest = parent_digest;
     if (!fetch(prec, &bytes, &img)) {
       return false;
     }
+    if (parent_digest != prec.digest) {
+      *error = "parent digest mismatch at generation " + std::to_string(img.generation);
+      return false;
+    }
   }
-
-  std::vector<const MachineImage*> chain;
-  for (auto it = images.rbegin(); it != images.rend(); ++it) {
-    chain.push_back(&*it);
-  }
-  return MergeImageChain(chain, out, error);
+  std::reverse(images.begin(), images.end());
+  return MergeImageChain(std::move(images), out, error);
 }
 
 bool RecoverLatest(const CkptStore& store, MachineImage* out, uint64_t* generation,

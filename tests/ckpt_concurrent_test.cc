@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/wire.h"
 #include "src/kern/inspect.h"
 #include "src/kern/profile.h"
 #include "src/workloads/apps.h"
@@ -38,6 +39,13 @@ namespace fluke {
 namespace {
 
 constexpr Time kSlice = kNsPerMs / 4;
+
+// CkptImageV3Test.LayoutIsPinned: sizes and CRC trailers of its full and
+// delta streams, recorded with the FNV-1a build.
+constexpr size_t kPinFullSize = 33400;
+constexpr uint32_t kPinFullCrc = 0x039D737F;
+constexpr size_t kPinDeltaSize = 8610;
+constexpr uint32_t kPinDeltaCrc = 0xE7C74438;
 
 // The five paper configurations, each under both interpreter engines.
 std::vector<KernelConfig> AllConfigsBothEngines() {
@@ -376,7 +384,7 @@ TEST_P(CkptMachineTest, DeltaChainMergesToFullImage) {
   ASSERT_TRUE(CaptureMachine(a.kernel, /*delta=*/true, &delta2, &err)) << err;
 
   MachineImage merged;
-  ASSERT_TRUE(MergeImageChain({&full1, &delta2}, &merged, &err)) << err;
+  ASSERT_TRUE(MergeImageChain({full1, delta2}, &merged, &err)) << err;
 
   // Checkpoints are non-perturbing, so the twin runs straight to t2.
   World b(cfg);
@@ -632,6 +640,52 @@ TEST_F(CkptRestartLogTest, FlipEveryByteOfEveryGenerationNeverDiverges) {
   }
 }
 
+// A store written when ImageDigest was byte-serial FNV-1a: the images are
+// byte-identical v3 streams, but the log names them by their FNV-1a
+// digests, so recovery refuses every generation with the structured digest
+// error instead of loading it.
+TEST_F(CkptRestartLogTest, FnvDigestStoreFailsRecoveryWithDigestMismatch) {
+  auto fnv1a = [](const std::vector<uint8_t>& bytes) {
+    uint64_t h = 14695981039346656037ull;
+    for (uint8_t b : bytes) {
+      h = (h ^ b) * 1099511628211ull;
+    }
+    return h;
+  };
+  world = std::make_unique<World>(KernelConfig{}, /*rounds=*/60, /*writer_rounds=*/60,
+                                  /*writer_pages=*/4, /*cold_pages=*/2);
+  std::string err;
+  MachineImage img;
+  uint64_t digest = 0;  // the previous generation's until this one is hashed
+  for (uint32_t gen = 1; gen <= 2; ++gen) {
+    RunTo(world->kernel, gen * (kNsPerMs / 4));
+    ASSERT_TRUE(CaptureMachine(world->kernel, /*delta=*/gen > 1, &img, &err)) << err;
+    img.generation = gen;
+    img.base_generation = gen > 1 ? gen - 1 : 0;
+    img.parent_digest = gen > 1 ? digest : 0;
+    const std::vector<uint8_t> bytes = SerializeMachine(img);
+    digest = fnv1a(bytes);
+    ASSERT_TRUE(store.Put(CkptImageName(gen), bytes));
+    ASSERT_TRUE(store.Append(kRestartLogName, wire::Encode([&](auto& w) {
+      w.U64(gen);
+      w.U64(digest);
+      w.U64(bytes.size());
+      w.Crc32Since(0);
+    })));
+  }
+
+  const std::vector<RestartRecord> log = ReadRestartLog(store);
+  ASSERT_EQ(log.size(), 2u);
+  MachineImage out;
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_FALSE(LoadGeneration(store, log, i, &out, &err));
+    EXPECT_EQ(err, "image digest mismatch for generation " + std::to_string(i + 1));
+  }
+  uint64_t gen = 0;
+  EXPECT_FALSE(RecoverLatest(store, &out, &gen, &err));
+  EXPECT_NE(err.find("image digest mismatch"), std::string::npos) << err;
+}
+
 // --- v3 stream robustness and v2 backward compatibility ---
 
 TEST(CkptImageV3Test, FlipEveryByteIsRejected) {
@@ -669,6 +723,31 @@ TEST(CkptImageV3Test, RoundTripsThroughTheWire) {
   for (Thread* t : r.threads) {
     EXPECT_EQ(t->exit_code, 0u);
   }
+}
+
+// The v3 layout does not depend on the image digest: a deterministic
+// machine's full and delta streams keep the size and whole-stream CRC
+// trailer recorded when ImageDigest was FNV-1a. The delta's parent_digest is
+// a fixed value, so nothing here hashes.
+TEST(CkptImageV3Test, LayoutIsPinned) {
+  World w(KernelConfig{}, /*rounds=*/60, /*writer_rounds=*/60, /*writer_pages=*/4,
+          /*cold_pages=*/2);
+  RunTo(w.kernel, kNsPerMs / 4);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureMachine(w.kernel, /*delta=*/false, &img, &err)) << err;
+  const std::vector<uint8_t> full = SerializeMachine(img);
+  RunTo(w.kernel, kNsPerMs / 2);
+  ASSERT_TRUE(CaptureMachine(w.kernel, /*delta=*/true, &img, &err)) << err;
+  img.generation = 2;
+  img.base_generation = 1;
+  img.parent_digest = 0x0123456789ABCDEFull;
+  const std::vector<uint8_t> delta = SerializeMachine(img);
+
+  EXPECT_EQ(full.size(), kPinFullSize);
+  EXPECT_EQ(wire::LoadLe32(full.data() + full.size() - 4), kPinFullCrc);
+  EXPECT_EQ(delta.size(), kPinDeltaSize);
+  EXPECT_EQ(wire::LoadLe32(delta.data() + delta.size() - 4), kPinDeltaCrc);
 }
 
 TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
@@ -742,6 +821,38 @@ TEST(CkptRefusalTest, RefusesOutsideTheCheckpointableSubset) {
   const MachineRestoreResult r = RestoreMachine(k, delta, registry);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("unmerged delta"), std::string::npos) << r.error;
+}
+
+// Space names are not unique (the space-create syscall names every space
+// "user-space"), and a delta's spaces pair with their parent's by name. Two
+// spaces named "dup" hold different words; after only the first is
+// rewritten, a delta used to merge the first space's memory into the
+// second. The delta capture is refused instead, and a chain that would
+// have to pair duplicate names does not merge.
+TEST(CkptRefusalTest, DeltaOfSpacesSharingANameIsRefused) {
+  Kernel k((KernelConfig()));
+  auto first = k.CreateSpace("dup");
+  auto second = k.CreateSpace("dup");
+  first->SetAnonRange(0x10000, 1 << 16);
+  second->SetAnonRange(0x10000, 1 << 16);
+  const uint32_t a = 0xaaaa0001, b = 0xbbbb0002, a2 = 0xaaaa0003;
+  ASSERT_TRUE(first->HostWrite(0x10000, &a, 4));
+  ASSERT_TRUE(second->HostWrite(0x10000, &b, 4));
+
+  std::string err;
+  MachineImage full;
+  ASSERT_TRUE(CaptureMachine(k, /*delta=*/false, &full, &err)) << err;
+  ASSERT_TRUE(first->HostWrite(0x10000, &a2, 4));
+  MachineImage delta;
+  EXPECT_FALSE(CaptureMachine(k, /*delta=*/true, &delta, &err));
+  EXPECT_EQ(err, "delta checkpoint of live spaces that share the name \"dup\"");
+
+  MachineImage next = full;
+  next.generation = 2;
+  next.base_generation = 1;
+  MachineImage merged;
+  EXPECT_FALSE(MergeImageChain({full, next}, &merged, &err));
+  EXPECT_EQ(err, "duplicate space name \"dup\" in a delta chain");
 }
 
 // c1m at 2000 clients, whose spill-slot range is not a whole number of
