@@ -39,7 +39,7 @@ double NullSyscallCycles(ExecModel model) {
     b.StoreW(kRegDI, kRegC, 0);
     b.Jmp(loop);
     space->program = b.Build();
-    k.StartThread(k.CreateThread(space.get()));
+    k.StartThread(k.CreateThread(space));
     k.Run(k.clock.now() + kWindow);
     uint32_t iters = 0;
     space->HostRead(kCounter, &iters, 4);
@@ -62,7 +62,7 @@ double NullSyscallCycles(ExecModel model) {
   a.StoreW(kRegDI, kRegC, 0);
   a.Jmp(loop);
   space->program = a.Build();
-  k.StartThread(k.CreateThread(space.get()));
+  k.StartThread(k.CreateThread(space));
   k.Run(k.clock.now() + kWindow);
   const uint64_t calls = k.stats.syscalls;
   const double per_iter = static_cast<double>(kWindow) / kNsPerCycle / calls;

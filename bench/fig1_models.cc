@@ -26,8 +26,8 @@ std::string RunScenario(const KernelConfig& cfg) {
   client_space->SetAnonRange(0x10000, 1 << 20);
   server_space->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(7);
-  const Handle sport = k.Install(server_space.get(), port);
-  const Handle cref = k.Install(client_space.get(), k.NewReference(port));
+  const Handle sport = k.Install(server_space, port);
+  const Handle cref = k.Install(client_space, k.NewReference(port));
 
   // Client sends 64 words; the server takes 16 and pauses, so the client
   // blocks mid-send with partially-advanced registers.
@@ -49,8 +49,8 @@ std::string RunScenario(const KernelConfig& cfg) {
   sa.Halt();
   client_space->program = ca.Build();
   server_space->program = sa.Build();
-  Thread* ct = k.CreateThread(client_space.get());
-  Thread* st = k.CreateThread(server_space.get());
+  Thread* ct = k.CreateThread(client_space);
+  Thread* st = k.CreateThread(server_space);
   k.StartThread(st);
   k.StartThread(ct);
 
@@ -64,7 +64,7 @@ std::string RunScenario(const KernelConfig& cfg) {
     sig += buf;
     // Destroy/recreate from the extracted state: must be transparent.
     k.DestroyThread(ct);
-    Thread* ct2 = k.CreateThread(client_space.get());
+    Thread* ct2 = k.CreateThread(client_space);
     k.SetThreadState(ct2, mid);
     // Restore the connection the checkpoint cannot carry: re-queue through
     // a fresh connect is not needed here because the peer link died with

@@ -33,7 +33,7 @@ void BM_NullSyscall(benchmark::State& state) {
   EmitSys(a, kSysNull);
   a.Jmp(loop);
   space->program = a.Build();
-  Thread* t = k.CreateThread(space.get());
+  Thread* t = k.CreateThread(space);
   k.StartThread(t);
 
   uint64_t calls = 0;
@@ -55,8 +55,8 @@ void StartRpcPair(Kernel& k) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -72,8 +72,8 @@ void StartRpcPair(Kernel& k) {
   EmitSys(sa, kSysIpcServerAckSendOverReceive, 0, 0x10100, 1, 0x10000, 1);
   sa.Jmp(sloop);
   ss->program = sa.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
 }
 
 // Runs the pair for 1ms of virtual time per iteration, reporting RPC
@@ -232,8 +232,8 @@ void BM_BulkTransferMB(benchmark::State& state) {
   cs->SetAnonRange(0x10000, 4 << 20);
   ss->SetAnonRange(0x10000, 4 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
   constexpr uint32_t kWords = (1 << 20) / 4;
 
   Assembler ca("client");
@@ -250,8 +250,8 @@ void BM_BulkTransferMB(benchmark::State& state) {
   EmitSys(sa, kSysIpcServerReceive, 0, 0, 0, 0x20000, kWords);
   sa.Jmp(sloop);
   ss->program = sa.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
   // Warm the buffers.
   k.Run(k.clock.now() + 10 * kNsPerMs);
 
@@ -295,7 +295,7 @@ void BM_UserMemLoop(benchmark::State& state) {
   EmitSys(a, kSysNull);
   a.Jmp(outer);
   space->program = a.Build();
-  k.StartThread(k.CreateThread(space.get()));
+  k.StartThread(k.CreateThread(space));
   // Warm: zero-fill the buffer's pages so the timed loop measures steady
   // state, not first-touch faults.
   k.Run(k.clock.now() + 2 * kNsPerMs);
@@ -358,7 +358,7 @@ void BM_InterpAluLoop(benchmark::State& state) {
   EmitSys(a, kSysNull);  // pass marker
   a.Jmp(outer);
   space->program = a.Build();
-  k.StartThread(k.CreateThread(space.get()));
+  k.StartThread(k.CreateThread(space));
   k.Run(k.clock.now() + kNsPerMs);  // warm (predecode, first dispatch)
 
   uint64_t passes = 0;
@@ -404,7 +404,7 @@ void BM_InterpMemLoop(benchmark::State& state) {
   EmitSys(a, kSysNull);  // pass marker
   a.Jmp(outer);
   space->program = a.Build();
-  k.StartThread(k.CreateThread(space.get()));
+  k.StartThread(k.CreateThread(space));
   // Warm: fault in the window and settle the caches (predecode / compile).
   k.Run(k.clock.now() + 2 * kNsPerMs);
 
@@ -445,7 +445,7 @@ void BM_HardFaultRoundTrip(benchmark::State& state) {
   a.Blt(kRegB, kRegD, loop);
   a.Jmp(outer);
   m.child_space->program = a.Build();
-  k.StartThread(k.CreateThread(m.child_space.get()));
+  k.StartThread(k.CreateThread(m.child_space));
 
   uint64_t faults = 0;
   for (auto _ : state) {
@@ -478,7 +478,7 @@ void BM_CheckpointCapture(benchmark::State& state) {
   reg.Register(a.Build());
   space->program = reg.Find("idle");
   for (int i = 0; i < 8; ++i) {
-    k.CreateThread(space.get());
+    k.CreateThread(space);
   }
 
   for (auto _ : state) {
@@ -505,8 +505,8 @@ void BM_CkptOverhead(benchmark::State& state) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -522,8 +522,8 @@ void BM_CkptOverhead(benchmark::State& state) {
   EmitSys(sa, kSysIpcServerAckSendOverReceive, 0, 0x10100, 1, 0x10000, 1);
   sa.Jmp(sloop);
   ss->program = sa.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
 
   ConcurrentCkpt cc;
   uint64_t generations = 0;

@@ -46,15 +46,15 @@ void RunScenario(const Scenario& sc, double* remedy_us, double* rollback_us, uin
   // Splice an intermediate level into the server side: a fresh space whose
   // [0, 1M) imports the mid space's [0, 1M).
   auto server_space = k.CreateSpace("sv");
-  auto mid_region = k.NewRegion(server.child_space.get(), 0, 1 << 20, kProtReadWrite);
-  k.NewMapping(server_space.get(), 0, mid_region.get(), 0, 1 << 20, kProtReadWrite);
-  server_space->keeper = server.keeper_port.get();
+  auto mid_region = k.NewRegion(server.child_space, 0, 1 << 20, kProtReadWrite);
+  k.NewMapping(server_space, 0, mid_region, 0, 1 << 20, kProtReadWrite);
+  server_space->keeper = server.keeper_port;
   k.StartThread(client.manager_thread);
   k.StartThread(server.manager_thread);
 
   auto port = k.NewPort(3);
-  const Handle sport = k.Install(server_space.get(), port);
-  const Handle cref = k.Install(client.child_space.get(), k.NewReference(port));
+  const Handle sport = k.Install(server_space, port);
+  const Handle cref = k.Install(client.child_space, k.NewReference(port));
 
   constexpr uint32_t kBuf = 0x4000;       // page-aligned transfer buffers
   constexpr uint32_t kWords = 2048;       // two pages
@@ -118,8 +118,8 @@ void RunScenario(const Scenario& sc, double* remedy_us, double* rollback_us, uin
   sa.Halt();
   server_space->program = sa.Build();
 
-  Thread* st = k.CreateThread(server_space.get());
-  Thread* ct = k.CreateThread(client.child_space.get());
+  Thread* st = k.CreateThread(server_space);
+  Thread* ct = k.CreateThread(client.child_space);
   k.StartThread(st);
   k.StartThread(ct);
   if (!k.RunUntilThreadDone(ct, 10ull * 1000 * kNsPerMs) ||

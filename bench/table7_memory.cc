@@ -31,11 +31,11 @@ Measured MeasureModel(ExecModel model) {
   space->SetAnonRange(0x10000, 1 << 20);
   auto locked_mutex = k.NewMutex();
   locked_mutex->locked = true;
-  const Handle m = k.Install(space.get(), locked_mutex);
-  const Handle cm = k.Install(space.get(), k.NewMutex());
-  const Handle c = k.Install(space.get(), k.NewCond());
+  const Handle m = k.Install(space, locked_mutex);
+  const Handle cm = k.Install(space, k.NewMutex());
+  const Handle c = k.Install(space, k.NewCond());
   auto port = k.NewPort(1);
-  const Handle pref = k.Install(space.get(), k.NewReference(port));
+  const Handle pref = k.Install(space, k.NewReference(port));
 
   constexpr int kPerKind = 16;
   // Threads blocked in mutex_lock.
@@ -43,7 +43,7 @@ Measured MeasureModel(ExecModel model) {
     Assembler a("m" + std::to_string(i));
     EmitSys(a, kSysMutexLock, m);
     a.Halt();
-    k.StartThread(k.CreateThread(space.get(), a.Build()));
+    k.StartThread(k.CreateThread(space, a.Build()));
   }
   // Threads blocked in cond_wait (nested: cond wait + mutex relock frames).
   for (int i = 0; i < kPerKind; ++i) {
@@ -51,14 +51,14 @@ Measured MeasureModel(ExecModel model) {
     EmitSys(a, kSysMutexLock, cm);
     EmitSys(a, kSysCondWait, c, cm);
     a.Halt();
-    k.StartThread(k.CreateThread(space.get(), a.Build()));
+    k.StartThread(k.CreateThread(space, a.Build()));
   }
   // Threads blocked mid-IPC (queued on a port no server answers).
   for (int i = 0; i < kPerKind; ++i) {
     Assembler a("i" + std::to_string(i));
     EmitSys(a, kSysIpcClientConnectSend, pref, 0x10000, 256, 0, 0);
     a.Halt();
-    k.StartThread(k.CreateThread(space.get(), a.Build()));
+    k.StartThread(k.CreateThread(space, a.Build()));
   }
 
   k.Run(k.clock.now() + 200 * kNsPerMs);

@@ -68,7 +68,7 @@ int main() {
     Kernel k(KernelConfig{});
     auto space = k.CreateSpace("task");
     space->SetAnonRange(0x10000, 1 << 20);
-    BuildTask(k, space.get());
+    BuildTask(k, space);
     k.RunUntilQuiescent(60ull * 1000 * kNsPerMs);
     expected = k.console.output();
   }
@@ -80,7 +80,7 @@ int main() {
   auto space = k.CreateSpace("task");
   space->SetAnonRange(0x10000, 1 << 20);
   g_registry = ProgramRegistry();
-  BuildTask(k, space.get());
+  BuildTask(k, space);
   k.Run(k.clock.now() + 3 * kNsPerMs);
   std::printf("output at cut   : \"%s\"\n", k.console.output().c_str());
 

@@ -36,8 +36,8 @@ int main() {
   app_space->SetAnonRange(0x10000, 1 << 20);
 
   auto disk_port = kernel.NewPort(0xD15C);
-  const Handle drv_port_h = kernel.Install(kspace.get(), disk_port);
-  const Handle app_ref_h = kernel.Install(app_space.get(), kernel.NewReference(disk_port));
+  const Handle drv_port_h = kernel.Install(kspace, disk_port);
+  const Handle app_ref_h = kernel.Install(app_space, kernel.NewReference(disk_port));
 
   constexpr uint32_t kReq = 0x10000;   // request: [sector, count]
   constexpr uint32_t kRep = 0x10100;   // reply:   [request id]
@@ -69,7 +69,7 @@ int main() {
   EmitCheckOk(d);
   d.Jmp(dloop);
   kspace->program = d.Build();
-  Thread* driver = kernel.CreateThread(kspace.get(), nullptr, /*priority=*/6);
+  Thread* driver = kernel.CreateThread(kspace, nullptr, /*priority=*/6);
   driver->legacy = true;  // grants the pseudo-syscall gate
   kernel.StartThread(driver);
 
@@ -94,7 +94,7 @@ int main() {
   a.StoreW(kRegA, kRegC, 0);
   a.Halt();
   app_space->program = a.Build();
-  Thread* app = kernel.CreateThread(app_space.get());
+  Thread* app = kernel.CreateThread(app_space);
   kernel.StartThread(app);
 
   if (!kernel.RunUntilThreadDone(app, 10ull * 1000 * kNsPerMs)) {

@@ -37,7 +37,7 @@ int main() {
   auto space1 = machine1.CreateSpace("job");
   space1->SetAnonRange(0x10000, 1 << 20);
   space1->program = registry.Find("migrant");
-  machine1.StartThread(machine1.CreateThread(space1.get()));
+  machine1.StartThread(machine1.CreateThread(space1));
   machine1.Run(machine1.clock.now() + 5 * kNsPerMs);
   std::printf("machine1 output: \"%s\" (then the task is frozen + shipped)\n",
               machine1.console.output().c_str());

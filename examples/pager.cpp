@@ -41,7 +41,7 @@ int main() {
   }
   a.Halt();
   m.child_space->program = a.Build();
-  Thread* child = kernel.CreateThread(m.child_space.get());
+  Thread* child = kernel.CreateThread(m.child_space);
   kernel.StartThread(child);
 
   if (!kernel.RunUntilThreadDone(child, 10ull * 1000 * kNsPerMs)) {

@@ -37,10 +37,10 @@ int main() {
 
   // Kernel objects: a mutex shared by the app threads, and a port the
   // server listens on (the app holds a Reference to it).
-  const Handle mutex_h = kernel.Install(app_space.get(), kernel.NewMutex());
+  const Handle mutex_h = kernel.Install(app_space, kernel.NewMutex());
   auto port = kernel.NewPort(/*badge=*/42);
-  const Handle srv_port_h = kernel.Install(srv_space.get(), port);
-  const Handle app_ref_h = kernel.Install(app_space.get(), kernel.NewReference(port));
+  const Handle srv_port_h = kernel.Install(srv_space, port);
+  const Handle app_ref_h = kernel.Install(app_space, kernel.NewReference(port));
 
   // 3. Two app threads increment a shared counter under the mutex, then the
   //    second one RPCs the echo server.
@@ -84,9 +84,9 @@ int main() {
   sa.Halt();
   srv_space->program = sa.Build();
 
-  Thread* w1 = kernel.CreateThread(app_space.get(), make_worker("w1", "a", false));
-  Thread* w2 = kernel.CreateThread(app_space.get(), make_worker("w2", "b", true));
-  Thread* server = kernel.CreateThread(srv_space.get());
+  Thread* w1 = kernel.CreateThread(app_space, make_worker("w1", "a", false));
+  Thread* w2 = kernel.CreateThread(app_space, make_worker("w2", "b", true));
+  Thread* server = kernel.CreateThread(srv_space);
   kernel.StartThread(server);
   kernel.StartThread(w1);
   kernel.StartThread(w2);

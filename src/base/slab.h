@@ -1,23 +1,24 @@
-// Fixed-size slab arena for kernel objects (Thread, Port, Reference).
+// Chunked object storage for one kernel's objects (Thread, Port, Reference).
 //
-// Same shape as the frame slab in src/mem/phys.h: carve chunks, hand out
-// slots from a LIFO free list, never give memory back to the host until
-// process teardown. Creating the 100k-th thread of a boot storm is then one
-// pointer pop instead of a malloc round trip, and bytes-per-object is a
-// fixed, measurable quantity (sizeof the slot) rather than allocator-
-// dependent.
+// Same shape as the frame slab in src/mem/phys.h: carve fixed-size chunks
+// and construct each object in the next free slot. Creating the 100k-th
+// thread of a boot storm is then a pointer bump instead of a malloc round
+// trip, and bytes-per-object is a fixed, measurable quantity (sizeof the
+// slot) rather than allocator-dependent.
 //
-// The simulator is single-threaded by construction (one dispatcher), so
-// there is no locking. The arena is process-global rather than per-Kernel:
-// class-level operator new has no kernel context, and recycling TCBs across
-// short-lived test kernels is exactly what a slab is for.
+// Kernel objects are never freed mid-run (a destroyed object stays as a
+// zombie until its kernel goes away), so there is no free list: the slab
+// destroys every object it constructed when it is itself destroyed. Each
+// Kernel owns its slabs; the simulator is single-threaded by construction,
+// so there is no locking.
 
 #ifndef SRC_BASE_SLAB_H_
 #define SRC_BASE_SLAB_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace fluke {
@@ -25,55 +26,34 @@ namespace fluke {
 template <typename T, size_t kChunkObjects = 256>
 class SlabArena {
  public:
-  static SlabArena& Instance() {
-    static SlabArena arena;
-    return arena;
-  }
+  SlabArena() = default;
+  SlabArena(const SlabArena&) = delete;
+  SlabArena& operator=(const SlabArena&) = delete;
 
-  void* Allocate() {
-    if (free_ == nullptr) {
-      Refill();
+  ~SlabArena() {
+    for (size_t i = 0; i < size_; ++i) {
+      std::launder(reinterpret_cast<T*>(chunks_[i / kChunkObjects][i % kChunkObjects].bytes))
+          ->~T();
     }
-    Slot* s = free_;
-    free_ = s->next;
-    ++total_allocs_;
-    return s;
   }
 
-  void Deallocate(void* p) {
-    Slot* s = static_cast<Slot*>(p);
-    s->next = free_;
-    free_ = s;
+  template <typename... Args>
+  T* New(Args&&... args) {
+    if (size_ % kChunkObjects == 0) {
+      chunks_.push_back(std::unique_ptr<Slot[]>(new Slot[kChunkObjects]));
+    }
+    T* obj = ::new (chunks_.back()[size_ % kChunkObjects].bytes) T(std::forward<Args>(args)...);
+    ++size_;
+    return obj;
   }
-
-  // Lifetime allocation count (process-global; the per-kernel
-  // slab_thread_allocs stat is counted at CreateThread instead).
-  uint64_t total_allocs() const { return total_allocs_; }
-  // Bytes a live object occupies in the arena.
-  static constexpr size_t kSlotBytes = sizeof(T) < sizeof(void*)
-                                           ? sizeof(void*)
-                                           : sizeof(T);
 
  private:
-  union Slot {
-    Slot* next;
-    alignas(T) unsigned char storage[sizeof(T)];
+  struct Slot {
+    alignas(T) unsigned char bytes[sizeof(T)];
   };
 
-  SlabArena() = default;
-
-  void Refill() {
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkObjects));
-    Slot* base = chunks_.back().get();
-    for (size_t i = kChunkObjects; i-- > 0;) {
-      base[i].next = free_;
-      free_ = &base[i];
-    }
-  }
-
   std::vector<std::unique_ptr<Slot[]>> chunks_;
-  Slot* free_ = nullptr;
-  uint64_t total_allocs_ = 0;
+  size_t size_ = 0;
 };
 
 }  // namespace fluke

@@ -90,16 +90,6 @@ struct KernelConfig {
   // (FLUKE_INTERP_COMPUTED_GOTO); kJit degrades to kThreaded (then kSwitch)
   // when the host target is unsupported or refuses executable pages.
   InterpEngine interp_engine = InterpEngine::kThreaded;
-  // Deprecated alias, kept so older call sites and scripts keep working:
-  // when false it forces the switch engine regardless of interp_engine.
-  // New code should set interp_engine and leave this alone.
-  bool enable_threaded_interp = true;
-
-  // The engine the kernel actually runs: interp_engine unless the
-  // deprecated alias demands the switch reference engine.
-  InterpEngine EffectiveEngine() const {
-    return enable_threaded_interp ? interp_engine : InterpEngine::kSwitch;
-  }
   // Syscall/IPC fast paths (src/kern/dispatch.cc): trivial syscalls and the
   // reliable-IPC direct-handoff send run outside the coroutine machinery
   // when instrumentation is disarmed, charging the identical virtual-time

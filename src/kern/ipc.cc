@@ -35,7 +35,7 @@ Port* LookupPortArg(Thread* t, Handle h) {
   if (o->type() == ObjType::kReference) {
     auto* r = static_cast<Reference*>(o);
     if (r->target != nullptr && r->target->alive() && r->target->type() == ObjType::kPort) {
-      return static_cast<Port*>(r->target.get());
+      return static_cast<Port*>(r->target);
     }
   }
   return nullptr;

@@ -24,7 +24,7 @@ Kernel::Kernel(const KernelConfig& config, ProgramRegistry* program_registry)
   for (int i = 0; i < cfg.num_cpus; ++i) {
     cpus_[i].id = i;
   }
-  interp_opts_.engine = cfg.EffectiveEngine();
+  interp_opts_.engine = cfg.interp_engine;
   interp_opts_.block_charges = &stats.interp_block_charges;
   interp_opts_.predecodes = &stats.interp_predecodes;
   interp_opts_.instructions = &stats.user_instructions;
@@ -57,9 +57,11 @@ bool Kernel::Panic(const char* what) {
 }
 
 Kernel::~Kernel() {
-  // Destroy retained kernel activations before the thread objects go away.
-  for (auto& t : threads_) {
-    SetFrameAccounting(this, t.get());
+  // Destroy retained kernel activations before the thread objects go away;
+  // the objects themselves then die with their owners (kernel.h), while
+  // `phys` is still alive.
+  for (Thread* t : threads_) {
+    SetFrameAccounting(this, t);
     t->op.Reset();
   }
   SetFrameAccounting(nullptr, nullptr);
@@ -69,8 +71,8 @@ Kernel::~Kernel() {
 // Setup API.
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<Space> Kernel::CreateSpace(const std::string& name) {
-  auto s = std::make_shared<Space>(NextObjId(), &phys);
+Space* Kernel::CreateSpace(const std::string& name) {
+  Space* s = Own<Space>(NextObjId(), &phys);
   if (cfg.num_cpus > 1) {
     // Round-robin home assignment: each new space starts as its own
     // affinity domain.
@@ -78,7 +80,7 @@ std::shared_ptr<Space> Kernel::CreateSpace(const std::string& name) {
     next_space_home_ = (next_space_home_ + 1) % cfg.num_cpus;
   }
   s->ConfigureTlb(cfg.enable_tlb, &stats);
-  s->aff_members.push_back(s.get());
+  s->aff_members.push_back(s);
   s->set_name(name);
   spaces_.push_back(s);
   s->self_handle = s->Install(s);  // space_self
@@ -165,19 +167,16 @@ Thread* Kernel::CreateThread(Space* space, ProgramRef program, int priority) {
   if (program == nullptr) {
     program = space->program;
   }
-  // Not make_shared: the TCB must come from Thread's class-level slab
-  // (objects.h); the control block staying a separate small allocation is
-  // the price of O(1) recycled TCB storage.
-  auto t = std::shared_ptr<Thread>(new Thread(NextObjId(), space, std::move(program)));
+  Thread* t = thread_slab_.New(NextObjId(), space, std::move(program));
   ++stats.slab_thread_allocs;
   t->priority = priority;
   t->slice_ticks = cfg.timeslice_ticks;
   t->home_cpu = HomeCpuOf(space);
-  t->ctx = SysCtx{this, t.get()};
+  t->ctx = SysCtx{this, t};
   threads_.push_back(t);
-  space->threads.push_back(t.get());
+  space->threads.push_back(t);
   t->self_handle = space->Install(t);  // thread_self
-  return t.get();
+  return t;
 }
 
 void Kernel::StartThread(Thread* t) {
@@ -186,67 +185,50 @@ void Kernel::StartThread(Thread* t) {
   t->wake_time = 0;  // thread startup is not a preemption-latency event
 }
 
-std::shared_ptr<Mutex> Kernel::NewMutex() {
-  auto m = std::make_shared<Mutex>(NextObjId());
-  anchors_.push_back(m);
-  return m;
-}
+Mutex* Kernel::NewMutex() { return Own<Mutex>(NextObjId()); }
 
-std::shared_ptr<Cond> Kernel::NewCond() {
-  auto c = std::make_shared<Cond>(NextObjId());
-  anchors_.push_back(c);
-  return c;
-}
+Cond* Kernel::NewCond() { return Own<Cond>(NextObjId()); }
 
-std::shared_ptr<Port> Kernel::NewPort(uint32_t badge) {
-  auto p = std::shared_ptr<Port>(new Port(NextObjId()));  // slab-backed
+Port* Kernel::NewPort(uint32_t badge) {
+  Port* p = port_slab_.New(NextObjId());
   p->badge = badge;
-  anchors_.push_back(p);
   return p;
 }
 
-std::shared_ptr<Portset> Kernel::NewPortset() {
-  auto p = std::make_shared<Portset>(NextObjId());
-  anchors_.push_back(p);
-  return p;
-}
+Portset* Kernel::NewPortset() { return Own<Portset>(NextObjId()); }
 
-std::shared_ptr<Region> Kernel::NewRegion(Space* source, uint32_t base, uint32_t size,
-                                          uint32_t prot) {
-  auto r = std::make_shared<Region>(NextObjId());
+Region* Kernel::NewRegion(Space* source, uint32_t base, uint32_t size, uint32_t prot) {
+  Region* r = Own<Region>(NextObjId());
   r->source = source;
   r->base = base;
   r->size = size;
   r->prot = prot;
-  source->regions.push_back(r.get());
-  anchors_.push_back(r);
+  source->regions.push_back(r);
   return r;
 }
 
-std::shared_ptr<Mapping> Kernel::NewMapping(Space* dest, uint32_t base, Region* src,
-                                            uint32_t offset, uint32_t size, uint32_t prot) {
-  auto m = std::make_shared<Mapping>(NextObjId());
+Mapping* Kernel::NewMapping(Space* dest, uint32_t base, Region* src, uint32_t offset,
+                            uint32_t size, uint32_t prot) {
+  Mapping* m = Own<Mapping>(NextObjId());
   m->dest = dest;
   m->base = base;
   m->src = src;
   m->offset = offset;
   m->size = size;
   m->prot = prot;
-  dest->AddMapping(m.get());
+  dest->AddMapping(m);
   if (src != nullptr && src->source != nullptr) {
     // The mapping lets `dest` derive PTEs from the source space's frames
     // (TryResolveSoft), so the two spaces can share physical pages: fold
     // them into one affinity domain before that can happen.
     MergeAffinity(dest, src->source);
   }
-  anchors_.push_back(m);
   return m;
 }
 
-std::shared_ptr<Reference> Kernel::NewReference(std::shared_ptr<KernelObject> target) {
-  auto r = std::shared_ptr<Reference>(new Reference(NextObjId()));  // slab-backed
-  r->target = std::move(target);
-  anchors_.push_back(r);
+Reference* Kernel::NewReference(KernelObject* target) {
+  Reference* r = reference_slab_.New(NextObjId());
+  r->target = target;
   return r;
 }
 
@@ -894,7 +876,7 @@ void Kernel::CompleteFaultWait(Thread* victim) {
 
 size_t Kernel::AliveThreads() const {
   size_t n = 0;
-  for (const auto& t : threads_) {
+  for (const Thread* t : threads_) {
     if (t->run_state != ThreadRun::kDead) {
       ++n;
     }
@@ -930,7 +912,7 @@ bool Kernel::RunUntilQuiescent(Time max_time) {
   while (clock.now() < deadline) {
     bool busy = AnyRunnable();
     if (!busy) {
-      for (const auto& t : threads_) {
+      for (const Thread* t : threads_) {
         if (t->run_state == ThreadRun::kBlocked) {
           busy = true;
           break;
@@ -949,7 +931,7 @@ bool Kernel::RunUntilQuiescent(Time max_time) {
   if (AnyRunnable()) {
     return false;
   }
-  for (const auto& t : threads_) {
+  for (const Thread* t : threads_) {
     if (t->run_state == ThreadRun::kBlocked) {
       return false;
     }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/slab.h"
 #include "src/hal/clock.h"
 #include "src/hal/devices.h"
 #include "src/hal/irq.h"
@@ -76,25 +77,25 @@ class Kernel {
   // -------------------------------------------------------------------------
   // Host-side setup API (the "boot loader").
   // -------------------------------------------------------------------------
-  std::shared_ptr<Space> CreateSpace(const std::string& name);
+  // Every object below is owned by the kernel and lives until ~Kernel; the
+  // returned pointers are borrowed (DESIGN.md, "Object ownership").
+  Space* CreateSpace(const std::string& name);
   // Creates a thread in `space` running `program` (or the space's default
   // program when null). The thread starts in the embryo state.
   Thread* CreateThread(Space* space, ProgramRef program = nullptr, int priority = 4);
   void StartThread(Thread* t);  // embryo/stopped -> runnable
 
-  std::shared_ptr<Mutex> NewMutex();
-  std::shared_ptr<Cond> NewCond();
-  std::shared_ptr<Port> NewPort(uint32_t badge);
-  std::shared_ptr<Portset> NewPortset();
-  std::shared_ptr<Region> NewRegion(Space* source, uint32_t base, uint32_t size, uint32_t prot);
-  std::shared_ptr<Mapping> NewMapping(Space* dest, uint32_t base, Region* src, uint32_t offset,
-                                      uint32_t size, uint32_t prot);
-  std::shared_ptr<Reference> NewReference(std::shared_ptr<KernelObject> target);
+  Mutex* NewMutex();
+  Cond* NewCond();
+  Port* NewPort(uint32_t badge);
+  Portset* NewPortset();
+  Region* NewRegion(Space* source, uint32_t base, uint32_t size, uint32_t prot);
+  Mapping* NewMapping(Space* dest, uint32_t base, Region* src, uint32_t offset, uint32_t size,
+                      uint32_t prot);
+  Reference* NewReference(KernelObject* target);
 
   // Installs an object into a space's handle table.
-  Handle Install(Space* space, std::shared_ptr<KernelObject> obj) {
-    return space->Install(std::move(obj));
-  }
+  Handle Install(Space* space, KernelObject* obj) { return space->Install(obj); }
 
   // -------------------------------------------------------------------------
   // Execution.
@@ -359,18 +360,10 @@ class Kernel {
   WaitQueue disk_waiters;
   WaitQueue console_waiters;
 
-  const std::vector<std::shared_ptr<Thread>>& threads() const { return threads_; }
-  const std::vector<std::shared_ptr<Space>>& spaces() const { return spaces_; }
-
-  // Shared-ownership handle for a thread the kernel created.
-  std::shared_ptr<Thread> SharedThread(Thread* t) const {
-    for (const auto& p : threads_) {
-      if (p.get() == t) {
-        return p;
-      }
-    }
-    return nullptr;
-  }
+  // Every thread and space ever created, dead ones included, in creation
+  // order.
+  const std::vector<Thread*>& threads() const { return threads_; }
+  const std::vector<Space*>& spaces() const { return spaces_; }
 
   // Dispatcher internals (dispatch.cc); public for white-box tests.
   Thread* PickNext();
@@ -472,6 +465,13 @@ class Kernel {
 
   void DetachFromIpc(Thread* t);
 
+  // Constructs one of the six object types without a slab into objects_.
+  template <typename T, typename... Args>
+  T* Own(Args&&... args) {
+    objects_.push_back(std::make_unique<T>(std::forward<Args>(args)...));
+    return static_cast<T*>(objects_.back().get());
+  }
+
   // RunDueTimers()'s out-of-line tail: at least one event or timeout is due
   // at `now`; fires everything due, merged by (deadline, seq).
   void FireDueTimers(Time now);
@@ -499,12 +499,16 @@ class Kernel {
   bool mp_running_ = false;  // inside RunMpLoop (gates cross-CPU accounting)
   int next_space_home_ = 0;  // round-robin CreateSpace home assignment
 
-  std::vector<std::shared_ptr<Space>> spaces_;
-  std::vector<std::shared_ptr<Thread>> threads_;
-  // Anchors objects created by the host until kernel teardown, so raw
-  // pointers held in kernel structures stay valid even if every handle to
-  // an object is dropped.
-  std::vector<std::shared_ptr<KernelObject>> anchors_;
+  // The owner of every kernel object. Nothing is freed mid-run: a destroyed
+  // object stays a zombie, so every raw pointer to it -- handle tables,
+  // references, wait queues, hosts -- stays valid until ~Kernel. Declared
+  // after `phys`, so the objects die first: ~Space unrefs its frames.
+  SlabArena<Thread> thread_slab_;
+  SlabArena<Port> port_slab_;
+  SlabArena<Reference> reference_slab_;
+  std::vector<std::unique_ptr<KernelObject>> objects_;  // the other six types
+  std::vector<Space*> spaces_;
+  std::vector<Thread*> threads_;
 
   CkptSession* ckpt_ = nullptr;  // in-progress concurrent capture, if any
 

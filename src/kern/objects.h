@@ -4,7 +4,8 @@
 // Space, Thread, Reference -- derive from KernelObject and support the
 // common operations (create, destroy, rename, reference, get_state,
 // set_state) through the syscall layer. Space lives in space.h; the rest
-// are defined here.
+// are defined here. The Kernel owns every object (kernel.h); everything
+// else, handle tables and references included, holds borrowed pointers.
 
 #ifndef SRC_KERN_OBJECTS_H_
 #define SRC_KERN_OBJECTS_H_
@@ -78,12 +79,6 @@ enum class BlockKind : int {
 struct Thread final : public KernelObject {
   Thread(uint64_t id, Space* space, ProgramRef program)
       : KernelObject(ObjType::kThread, id), space(space), program(std::move(program)) {}
-
-  // TCBs come from a per-type slab (src/base/slab.h): boot-storming 100k
-  // threads is 100k O(1) free-list pops, not 100k malloc round trips.
-  // Defined in thread.cc where the type is complete.
-  static void* operator new(size_t size);
-  static void operator delete(void* p);
 
   // --- Identity / code ---
   Space* space;
@@ -250,10 +245,6 @@ class Port final : public KernelObject {
  public:
   explicit Port(uint64_t id) : KernelObject(ObjType::kPort, id) {}
 
-  // Slab-backed, like Thread (defined in thread.cc).
-  static void* operator new(size_t size);
-  static void operator delete(void* p);
-
   uint32_t badge = 0;           // delivered to servers on accept
   WaitQueue servers;            // threads blocked in server receive on this port
   WaitQueue pollers;            // threads in portset_wait-style polling
@@ -300,17 +291,14 @@ class Mapping final : public KernelObject {
 };
 
 // Reference: a cross-object handle; most often points at a Port for
-// initiating client-side IPC.
+// initiating client-side IPC. Minted by create (or by the host), then
+// pointed with reference().
 class Reference final : public KernelObject {
  public:
   explicit Reference(uint64_t id) : KernelObject(ObjType::kReference, id) {}
 
-  // Slab-backed, like Thread (defined in thread.cc): references are the
-  // per-connection IPC-link objects, minted in bulk during connect storms.
-  static void* operator new(size_t size);
-  static void operator delete(void* p);
-
-  std::shared_ptr<KernelObject> target;
+  // Borrowed; the target may since have been destroyed (check alive()).
+  KernelObject* target = nullptr;
 };
 
 }  // namespace fluke

@@ -15,18 +15,18 @@ Space::~Space() {
   }
 }
 
-Handle Space::Install(std::shared_ptr<KernelObject> obj) {
+Handle Space::Install(KernelObject* obj) {
   ++live_handles_;
   // Reuse a dead slot if available; otherwise grow.
   while (!free_slots_.empty()) {
     const Handle h = free_slots_.back();
     free_slots_.pop_back();
     if (h < handles_.size() && handles_[h] == nullptr) {
-      handles_[h] = std::move(obj);
+      handles_[h] = obj;
       return h;
     }
   }
-  handles_.push_back(std::move(obj));
+  handles_.push_back(obj);
   return static_cast<Handle>(handles_.size() - 1);
 }
 
@@ -34,7 +34,7 @@ KernelObject* Space::Lookup(Handle h) const {
   if (h == kInvalidHandle || h >= handles_.size() || handles_[h] == nullptr) {
     return nullptr;
   }
-  KernelObject* o = handles_[h].get();
+  KernelObject* o = handles_[h];
   return o->alive() ? o : nullptr;
 }
 
@@ -42,14 +42,7 @@ KernelObject* Space::LookupAnyState(Handle h) const {
   if (h == kInvalidHandle || h >= handles_.size()) {
     return nullptr;
   }
-  return handles_[h].get();
-}
-
-std::shared_ptr<KernelObject> Space::LookupShared(Handle h) const {
-  if (h == kInvalidHandle || h >= handles_.size() || handles_[h] == nullptr) {
-    return nullptr;
-  }
-  return handles_[h]->alive() ? handles_[h] : nullptr;
+  return handles_[h];
 }
 
 void Space::Uninstall(Handle h) {
@@ -62,9 +55,9 @@ void Space::Uninstall(Handle h) {
 
 size_t Space::handle_count() const { return live_handles_; }
 
-void Space::ReplaceHandle(Handle h, std::shared_ptr<KernelObject> obj) {
+void Space::ReplaceHandle(Handle h, KernelObject* obj) {
   assert(h != kInvalidHandle && h < handles_.size() && handles_[h] != nullptr);
-  handles_[h] = std::move(obj);
+  handles_[h] = obj;
 }
 
 void Space::SetDirtyTracking() {

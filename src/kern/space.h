@@ -15,7 +15,6 @@
 #define SRC_KERN_SPACE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -67,12 +66,13 @@ class Space final : public KernelObject, public MemoryBus {
   ~Space() override;
 
   // --- Handle table ---
-  Handle Install(std::shared_ptr<KernelObject> obj);
+  // Slots borrow their objects: the Kernel owns every object (kernel.h), so
+  // a handle resolves to an object without taking ownership.
+  Handle Install(KernelObject* obj);
   // Returns the object for a handle, or null if invalid/dead.
   KernelObject* Lookup(Handle h) const;
   // Like Lookup but also returns dead (zombie) objects, e.g. for join.
   KernelObject* LookupAnyState(Handle h) const;
-  std::shared_ptr<KernelObject> LookupShared(Handle h) const;
   // Typed lookup; null when the handle is invalid or names a different type.
   template <typename T>
   T* LookupAs(Handle h, ObjType want) const {
@@ -175,7 +175,7 @@ class Space final : public KernelObject, public MemoryBus {
   // Replaces the object a live handle slot points at, preserving the slot
   // number (checkpoint restore: forward references are installed as
   // placeholders and patched once the target exists).
-  void ReplaceHandle(Handle h, std::shared_ptr<KernelObject> obj);
+  void ReplaceHandle(Handle h, KernelObject* obj);
 
   // --- Software TLB (src/kern/tlb.h) ---
   // Wired by Kernel::CreateSpace; counters land in KernelStats::tlb_*.
@@ -197,7 +197,7 @@ class Space final : public KernelObject, public MemoryBus {
 
   // Introspection for checkpointing and tests.
   const std::unordered_map<uint32_t, Pte>& page_table() const { return pages_; }
-  const std::vector<std::shared_ptr<KernelObject>>& handle_table() const { return handles_; }
+  const std::vector<KernelObject*>& handle_table() const { return handles_; }
   uint32_t anon_base() const { return anon_base_; }
   uint32_t anon_size() const { return anon_size_; }
 
@@ -221,7 +221,7 @@ class Space final : public KernelObject, public MemoryBus {
   void TlbInvalidatePage(uint32_t page);
 
   PhysMemory* phys_;
-  std::vector<std::shared_ptr<KernelObject>> handles_{nullptr};  // slot 0 invalid
+  std::vector<KernelObject*> handles_{nullptr};  // slot 0 invalid
   std::vector<Handle> free_slots_;  // dead handle slots available for reuse
   size_t live_handles_ = 0;         // non-null slots (O(1) handle_count)
   std::unordered_map<uint32_t, Pte> pages_;  // keyed by vaddr >> kPageShift

@@ -214,7 +214,7 @@ KTask SysObjCreate(SysCtx& ctx) {
     co_return KStatus::kOk;
   }
   const auto type = static_cast<ObjType>(t->op_aux);
-  std::shared_ptr<KernelObject> obj;
+  KernelObject* obj = nullptr;
   switch (type) {
     case ObjType::kMutex:
       obj = k.NewMutex();
@@ -251,11 +251,9 @@ KTask SysObjCreate(SysCtx& ctx) {
       obj = k.NewMapping(sp, RegC(ctx), r, offset, RegD(ctx), RegDI(ctx) & kProtReadWrite);
       break;
     }
-    case ObjType::kSpace: {
-      auto s = k.CreateSpace("user-space");
-      obj = s;
+    case ObjType::kSpace:
+      obj = k.CreateSpace("user-space");
       break;
-    }
     case ObjType::kThread: {
       // thread_create(B = space handle) -> embryo thread in that space.
       auto* sp = static_cast<Space*>(LookupTyped(ctx, RegB(ctx), ObjType::kSpace));
@@ -265,8 +263,7 @@ KTask SysObjCreate(SysCtx& ctx) {
       }
       Thread* nt = k.CreateThread(sp);
       // Hand the creator a handle too (distinct from nt->self_handle).
-      const Handle h = t->space->Install(
-          std::static_pointer_cast<KernelObject>(k.SharedThread(nt)));
+      const Handle h = t->space->Install(nt);
       k.FinishWith(t, kFlukeOk, h);
       co_return KStatus::kOk;
     }
@@ -320,7 +317,7 @@ KTask SysObjReference(SysCtx& ctx) {
     k.Finish(t, kFlukeErrBadHandle);
     co_return KStatus::kOk;
   }
-  static_cast<Reference*>(refobj)->target = t->space->LookupShared(RegB(ctx));
+  static_cast<Reference*>(refobj)->target = target;
   k.Finish(t, kFlukeOk);
   co_return KStatus::kOk;
 }

@@ -1,31 +1,6 @@
-#include "src/base/slab.h"
 #include "src/kern/objects.h"
 
 namespace fluke {
-
-// Slab-backed kernel objects (see src/base/slab.h). Defined here, where the
-// types are complete; the classes are final, so `size` is always the exact
-// object size and one arena per type suffices.
-
-void* Thread::operator new(size_t size) {
-  (void)size;
-  return SlabArena<Thread>::Instance().Allocate();
-}
-void Thread::operator delete(void* p) { SlabArena<Thread>::Instance().Deallocate(p); }
-
-void* Port::operator new(size_t size) {
-  (void)size;
-  return SlabArena<Port>::Instance().Allocate();
-}
-void Port::operator delete(void* p) { SlabArena<Port>::Instance().Deallocate(p); }
-
-void* Reference::operator new(size_t size) {
-  (void)size;
-  return SlabArena<Reference>::Instance().Allocate();
-}
-void Reference::operator delete(void* p) {
-  SlabArena<Reference>::Instance().Deallocate(p);
-}
 
 const char* ThreadRunName(ThreadRun s) {
   switch (s) {

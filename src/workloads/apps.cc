@@ -71,7 +71,7 @@ AppResult RunMemtest(const KernelConfig& cfg, const MemtestParams& p) {
   EmitTouchRange(a, 0, p.bytes, /*write=*/false);
   a.Halt();
   m.child_space->program = a.Build();
-  Thread* child = k.CreateThread(m.child_space.get());
+  Thread* child = k.CreateThread(m.child_space);
   k.StartThread(child);
 
   const bool done = k.RunUntilThreadDone(child, 600ull * 1000 * kNsPerMs);
@@ -93,9 +93,9 @@ AppResult RunFlukeperf(const KernelConfig& cfg, const FlukeperfParams& p) {
   server_space->SetAnonRange(kAnon, kAnonSize);
 
   auto port = k.NewPort(1);
-  const Handle sport = k.Install(server_space.get(), port);
-  const Handle cref = k.Install(client_space.get(), k.NewReference(port));
-  const Handle cmutex = k.Install(client_space.get(), k.NewMutex());
+  const Handle sport = k.Install(server_space, port);
+  const Handle cref = k.Install(client_space, k.NewReference(port));
+  const Handle cmutex = k.Install(client_space, k.NewMutex());
 
   // Memory layout (both spaces): scratch counters page, then bulk buffer.
   constexpr uint32_t kCounters = kAnon;              // loop counters
@@ -103,8 +103,8 @@ AppResult RunFlukeperf(const KernelConfig& cfg, const FlukeperfParams& p) {
   constexpr uint32_t kBulkBuf = kAnon + kPageSize;   // up to 6 MiB
   constexpr uint32_t kWords1M = (1024 * 1024) / 4;
   const uint32_t big_words = p.big_send_bytes / 4;
-  Prefault(client_space.get(), kCounters, kPageSize + p.big_send_bytes);
-  Prefault(server_space.get(), kCounters, kPageSize + p.big_send_bytes);
+  Prefault(client_space, kCounters, kPageSize + p.big_send_bytes);
+  Prefault(server_space, kCounters, kPageSize + p.big_send_bytes);
 
   // --- Client program: the five phases ---
   Assembler ca("flukeperf");
@@ -171,8 +171,8 @@ AppResult RunFlukeperf(const KernelConfig& cfg, const FlukeperfParams& p) {
 
   client_space->program = ca.Build();
   server_space->program = sa.Build();
-  Thread* client = k.CreateThread(client_space.get(), nullptr, /*priority=*/4);
-  Thread* server = k.CreateThread(server_space.get(), nullptr, /*priority=*/4);
+  Thread* client = k.CreateThread(client_space, nullptr, /*priority=*/4);
+  Thread* server = k.CreateThread(server_space, nullptr, /*priority=*/4);
   k.StartThread(server);
   k.StartThread(client);
 
@@ -187,7 +187,7 @@ AppResult RunFlukeperf(const KernelConfig& cfg, const FlukeperfParams& p) {
     pa.Compute(400);  // 2 us of "handler" work per activation
     pa.Jmp(loop);
     probe_space->program = pa.Build();
-    Thread* probe = k.CreateThread(probe_space.get(), nullptr, /*priority=*/7);
+    Thread* probe = k.CreateThread(probe_space, nullptr, /*priority=*/7);
     k.SetLatencyProbe(probe, true);
     k.StartThread(probe);
   }
@@ -204,7 +204,7 @@ AppResult RunFlukeperf(const KernelConfig& cfg, const FlukeperfParams& p) {
 AppResult RunGcc(const KernelConfig& cfg, const GccParams& p) {
   Kernel k(cfg);
 
-  std::shared_ptr<Space> driver_space;
+  Space* driver_space = nullptr;
   Thread* manager = nullptr;
   if (p.demand_paged) {
     // The driver's working memory is demand-paged through a user-mode
@@ -226,8 +226,8 @@ AppResult RunGcc(const KernelConfig& cfg, const GccParams& p) {
   fs_space->SetAnonRange(kAnon, 4 * 1024 * 1024);
 
   auto port = k.NewPort(2);
-  const Handle sport = k.Install(fs_space.get(), port);
-  const Handle cref = k.Install(driver_space.get(), k.NewReference(port));
+  const Handle sport = k.Install(fs_space, port);
+  const Handle cref = k.Install(driver_space, k.NewReference(port));
 
   constexpr uint32_t kCounters = kAnon;
   constexpr uint32_t kReqBuf = kAnon + 0x40;
@@ -236,9 +236,9 @@ AppResult RunGcc(const KernelConfig& cfg, const GccParams& p) {
   const uint32_t obj_words = p.io_words_per_unit / 3;
   const uint32_t kObjBuf = kSrcBuf + 4 * p.io_words_per_unit;
   if (!p.demand_paged) {
-    Prefault(driver_space.get(), kAnon, kPageSize + 4 * (p.io_words_per_unit + obj_words));
+    Prefault(driver_space, kAnon, kPageSize + 4 * (p.io_words_per_unit + obj_words));
   }
-  Prefault(fs_space.get(), kAnon, kPageSize + 4 * (p.io_words_per_unit + obj_words));
+  Prefault(fs_space, kAnon, kPageSize + 4 * (p.io_words_per_unit + obj_words));
 
   // --- Driver program ---
   Assembler da("gcc-driver");
@@ -356,8 +356,8 @@ AppResult RunGcc(const KernelConfig& cfg, const GccParams& p) {
 
   driver_space->program = driver_prog;
   fs_space->program = fa.Build();
-  Thread* driver = k.CreateThread(driver_space.get());
-  Thread* fs = k.CreateThread(fs_space.get());
+  Thread* driver = k.CreateThread(driver_space);
+  Thread* fs = k.CreateThread(fs_space);
   k.StartThread(fs);
   k.StartThread(driver);
 
@@ -396,7 +396,7 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   // up to whole pages: checkpoint images only carry page-aligned ranges.
   const uint32_t anon_size =
       (kC1mSlotBase - 0x10000 + 8 * (p.clients + kC1mPorts + 8) + kPageMask) & ~kPageMask;
-  std::vector<std::shared_ptr<Space>> css;
+  std::vector<Space*> css;
   for (uint32_t s = 0; s < shards; ++s) {
     auto cs = k.CreateSpace(shards == 1 ? "c1m-client"
                                         : "c1m-client" + std::to_string(s));
@@ -412,15 +412,15 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   // are installed into every client shard first, so ref_base is the same
   // handle in each (fresh tables, identical install order).
   auto pset = k.NewPortset();
-  const Handle ps_h = k.Install(ss.get(), pset);
+  const Handle ps_h = k.Install(ss, pset);
   Handle ref_base = 0;
   for (uint32_t i = 0; i < kC1mPorts; ++i) {
     auto port = k.NewPort(/*badge=*/i + 1);
-    k.Install(ss.get(), port);
-    port->member_of = pset.get();
-    pset->ports.push_back(port.get());
+    k.Install(ss, port);
+    port->member_of = pset;
+    pset->ports.push_back(port);
     for (uint32_t s = 0; s < shards; ++s) {
-      const Handle r = k.Install(css[s].get(), k.NewReference(port));
+      const Handle r = k.Install(css[s], k.NewReference(port));
       if (i == 0 && s == 0) ref_base = r;
       assert(r == ref_base + i && "port refs must be contiguous");
       (void)r;
@@ -443,7 +443,7 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   sa.Jmp(souter);
   ProgramRef server_prog = sa.Build();
   for (uint32_t i = 0; i < kC1mPorts; ++i) {
-    k.StartThread(k.CreateThread(ss.get(), server_prog, /*priority=*/5));
+    k.StartThread(k.CreateThread(ss, server_prog, /*priority=*/5));
   }
 
   // Client: spill the derived per-thread constants (port ref, sleep length)
@@ -482,8 +482,8 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   std::vector<Handle> client_handles;
   client_handles.reserve(p.clients);
   for (uint32_t i = 0; i < p.clients; ++i) {
-    Thread* t = k.CreateThread(css[i % shards].get(), client_prog, /*priority=*/2);
-    client_handles.push_back(k.Install(ms.get(), k.threads().back()));
+    Thread* t = k.CreateThread(css[i % shards], client_prog, /*priority=*/2);
+    client_handles.push_back(k.Install(ms, t));
     k.StartThread(t);
     done_order.push_back(t);
   }
@@ -503,7 +503,7 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p) {
   }
   ma.MovImm(kRegB, 0);
   ma.Halt();
-  Thread* master = k.CreateThread(ms.get(), ma.Build(), /*priority=*/6);
+  Thread* master = k.CreateThread(ms, ma.Build(), /*priority=*/6);
   k.StartThread(master);
   done_order.push_back(master);
   return done_order;

@@ -33,7 +33,7 @@ bool RunOnce(const KernelConfig& base_cfg, const FaultPlan& plan, const ProgramR
   auto space = k.CreateSpace("audit");
   space->SetAnonRange(anon_base, anon_size);
   space->program = prog;
-  Thread* t = k.CreateThread(space.get(), prog);
+  Thread* t = k.CreateThread(space, prog);
   k.StartThread(t);
   k.finj.Arm();
 
@@ -71,7 +71,7 @@ bool RunOnce(const KernelConfig& base_cfg, const FaultPlan& plan, const ProgramR
     *why = "no threads after run";
     return false;
   }
-  const Thread* last = k.threads().back().get();
+  const Thread* last = k.threads().back();
   if (last->run_state != ThreadRun::kDead) {
     *why = "final thread did not exit";
     return false;

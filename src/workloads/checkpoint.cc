@@ -77,7 +77,7 @@ CheckpointImage CaptureSpace(Kernel& k, Space& space) {
   };
   for (size_t slot = 1; slot < handles.size(); ++slot) {
     CheckpointImage::ObjImage oi;
-    const KernelObject* o = handles[slot].get();
+    const KernelObject* o = handles[slot];
     if (o != nullptr && o->alive()) {
       switch (o->type()) {
         case ObjType::kMutex: {
@@ -169,7 +169,7 @@ RestoreResult RestoreSpace(Kernel& k, const CheckpointImage& img,
         const auto& ti = img.threads[oi.thread_index];
         ProgramRef prog =
             ti.program_name.empty() ? nullptr : programs.Find(ti.program_name);
-        Thread* t = k.CreateThread(r.space.get(), prog);  // installs the self slot
+        Thread* t = k.CreateThread(r.space, prog);  // installs the self slot
         if (t->self_handle != i + 1) {
           return fail("handle-slot drift while restoring threads");
         }
@@ -180,20 +180,19 @@ RestoreResult RestoreSpace(Kernel& k, const CheckpointImage& img,
         break;
       }
       case CheckpointImage::ObjKind::kMutex: {
-        auto m = k.NewMutex();
+        Mutex* m = k.NewMutex();
         m->locked = oi.mutex_locked;
-        Mutex* raw = m.get();
-        k.Install(r.space.get(), std::move(m));
+        k.Install(r.space, m);
         if (oi.mutex_locked && oi.mutex_owner_thread >= 0) {
-          owner_fixups.emplace_back(raw, oi.mutex_owner_thread);
+          owner_fixups.emplace_back(m, oi.mutex_owner_thread);
         }
         break;
       }
       case CheckpointImage::ObjKind::kCond:
-        k.Install(r.space.get(), k.NewCond());
+        k.Install(r.space, k.NewCond());
         break;
       case CheckpointImage::ObjKind::kEmpty:
-        k.Install(r.space.get(), k.NewReference(nullptr));
+        k.Install(r.space, k.NewReference(nullptr));
         break;
     }
   }
@@ -339,7 +338,7 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
     const auto& handles = s->handle_table();
     for (size_t slot = 1; slot < handles.size(); ++slot) {
       MachineImage::ObjImage oi;
-      KernelObject* o = handles[slot].get();
+      KernelObject* o = handles[slot];
       if (o != nullptr && o->alive()) {
         switch (o->type()) {
           case ObjType::kMutex: {
@@ -402,7 +401,7 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
           }
           case ObjType::kReference: {
             const auto* ref = static_cast<const Reference*>(o);
-            KernelObject* target = ref->target.get();
+            KernelObject* target = ref->target;
             if (target == nullptr || !target->alive()) {
               break;  // dangling reference -> kEmpty
             }
@@ -451,9 +450,9 @@ bool ConcurrentCkpt::Begin(Kernel& k, bool delta, std::string* error, bool stw) 
   }
   std::vector<Space*> live;
   std::unordered_set<std::string_view> names;
-  for (const auto& s : k.spaces()) {
+  for (Space* s : k.spaces()) {
     if (s->alive()) {
-      live.push_back(s.get());
+      live.push_back(s);
       // A delta's spaces pair with their parent's by name at merge time.
       if (delta && !names.insert(s->name()).second) {
         *error = "delta checkpoint of live spaces that share the name \"" + s->name() + "\"";
@@ -581,9 +580,9 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
   // Ports and portsets are created up front: handle tables may hold
   // references to ports that live in a space restored later (the rpc
   // client's Reference precedes the server space's port slot).
-  std::vector<std::shared_ptr<Port>> ports;
+  std::vector<Port*> ports;
   for (const auto& pi : img.ports) {
-    auto p = k.NewPort(pi.badge);
+    Port* p = k.NewPort(pi.badge);
     for (const auto& mi : pi.kmsgs) {
       KernelMsg m;
       std::memcpy(m.words, mi.words, sizeof(m.words));
@@ -591,9 +590,9 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
       m.badge = mi.badge;
       p->kmsgs.push_back(m);  // direct: no server exists yet to wake
     }
-    ports.push_back(std::move(p));
+    ports.push_back(p);
   }
-  std::vector<std::shared_ptr<Portset>> psets;
+  std::vector<Portset*> psets;
   for (size_t i = 0; i < img.portsets.size(); ++i) {
     psets.push_back(k.NewPortset());
   }
@@ -609,7 +608,7 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
 
   for (size_t si = 0; si < img.spaces.size(); ++si) {
     const auto& sp = img.spaces[si];
-    auto space = k.CreateSpace(sp.name);
+    Space* space = k.CreateSpace(sp.name);
     k.trace.Record(k.clock.now(), TraceKind::kCheckpoint, 0,
                    static_cast<uint32_t>(space->id()), 1);
     space->SetAnonRange(sp.anon_base, sp.anon_size);
@@ -660,7 +659,7 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
           }
           ProgramRef prog =
               ti.program_name.empty() ? nullptr : programs.Find(ti.program_name);
-          Thread* t = k.CreateThread(space.get(), prog);  // installs the self slot
+          Thread* t = k.CreateThread(space, prog);  // installs the self slot
           got = t->self_handle;
           if (!k.SetThreadState(t, ti.state)) {
             return fail("restored thread rejected its state");
@@ -673,48 +672,47 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
             return fail("thread reference to a missing thread");
           }
           if (r.threads[oi.index] != nullptr) {
-            got = k.Install(space.get(), k.SharedThread(r.threads[oi.index]));
+            got = k.Install(space, r.threads[oi.index]);
           } else {
             // Forward reference: the thread's own space comes later in the
             // image. Install a placeholder to hold the slot, patch below.
-            got = k.Install(space.get(), k.NewReference(nullptr));
-            thread_fixups.push_back({space.get(), want, oi.index});
+            got = k.Install(space, k.NewReference(nullptr));
+            thread_fixups.push_back({space, want, oi.index});
           }
           break;
         }
         case MachineImage::ObjKind::kMutex: {
-          auto m = k.NewMutex();
+          Mutex* m = k.NewMutex();
           m->locked = oi.mutex_locked;
-          Mutex* raw = m.get();
-          got = k.Install(space.get(), std::move(m));
+          got = k.Install(space, m);
           if (oi.mutex_locked && oi.mutex_owner_thread >= 0) {
-            owner_fixups.emplace_back(raw, oi.mutex_owner_thread);
+            owner_fixups.emplace_back(m, oi.mutex_owner_thread);
           }
           break;
         }
         case MachineImage::ObjKind::kCond:
-          got = k.Install(space.get(), k.NewCond());
+          got = k.Install(space, k.NewCond());
           break;
         case MachineImage::ObjKind::kPort:
           if (oi.index < 0 || static_cast<size_t>(oi.index) >= ports.size()) {
             return fail("port slot references a missing port");
           }
-          got = k.Install(space.get(), ports[oi.index]);
+          got = k.Install(space, ports[oi.index]);
           break;
         case MachineImage::ObjKind::kPortRef:
           if (oi.index < 0 || static_cast<size_t>(oi.index) >= ports.size()) {
             return fail("port reference to a missing port");
           }
-          got = k.Install(space.get(), k.NewReference(ports[oi.index]));
+          got = k.Install(space, k.NewReference(ports[oi.index]));
           break;
         case MachineImage::ObjKind::kPortset:
           if (oi.index < 0 || static_cast<size_t>(oi.index) >= psets.size()) {
             return fail("portset slot references a missing portset");
           }
-          got = k.Install(space.get(), psets[oi.index]);
+          got = k.Install(space, psets[oi.index]);
           break;
         case MachineImage::ObjKind::kEmpty:
-          got = k.Install(space.get(), k.NewReference(nullptr));
+          got = k.Install(space, k.NewReference(nullptr));
           break;
       }
       if (got != want) {
@@ -728,15 +726,15 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
     if (r.threads[fx.index] == nullptr) {
       return fail("thread reference to a thread with no self slot");
     }
-    fx.space->ReplaceHandle(fx.slot, k.SharedThread(r.threads[fx.index]));
+    fx.space->ReplaceHandle(fx.slot, r.threads[fx.index]);
   }
   for (size_t j = 0; j < img.portsets.size(); ++j) {
     for (uint32_t key : img.portsets[j].member_ports) {
       if (key >= ports.size()) {
         return fail("portset member references a missing port");
       }
-      ports[key]->member_of = psets[j].get();
-      psets[j]->ports.push_back(ports[key].get());
+      ports[key]->member_of = psets[j];
+      psets[j]->ports.push_back(ports[key]);
     }
   }
   for (auto& [m, idx] : owner_fixups) {

@@ -77,7 +77,7 @@ CheckpointImage CaptureSpace(Kernel& k, Space& space);
 struct RestoreResult {
   bool ok = true;
   std::string error;
-  std::shared_ptr<Space> space;
+  Space* space = nullptr;
   std::vector<Thread*> threads;
 };
 RestoreResult RestoreSpace(Kernel& k, const CheckpointImage& img,
@@ -224,7 +224,7 @@ bool CaptureMachine(Kernel& k, bool delta, MachineImage* out, std::string* error
 struct MachineRestoreResult {
   bool ok = true;
   std::string error;
-  std::vector<std::shared_ptr<Space>> spaces;
+  std::vector<Space*> spaces;
   std::vector<Thread*> threads;  // global order, matching img.threads
 };
 MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,

@@ -53,20 +53,20 @@ ManagedSetup BuildManagedSpace(Kernel& k, uint32_t window_bytes, const std::stri
   s.manager_space->SetAnonRange(kPagerBackingBase - kPageSize, window_bytes + kPageSize);
 
   s.keeper_port = k.NewPort(/*badge=*/0xFA);
-  const Handle port_h = k.Install(s.manager_space.get(), s.keeper_port);
+  const Handle port_h = k.Install(s.manager_space, s.keeper_port);
 
   s.child_space = k.CreateSpace(name + "-child");
-  s.child_space->keeper = s.keeper_port.get();
+  s.child_space->keeper = s.keeper_port;
 
   // Export the manager's backing window and import it at the child's [0,
   // window): child address p is backed by manager address backing_base + p.
   s.backing_region =
-      k.NewRegion(s.manager_space.get(), kPagerBackingBase, window_bytes, kProtReadWrite);
-  k.NewMapping(s.child_space.get(), 0, s.backing_region.get(), 0, window_bytes, kProtReadWrite);
+      k.NewRegion(s.manager_space, kPagerBackingBase, window_bytes, kProtReadWrite);
+  k.NewMapping(s.child_space, 0, s.backing_region, 0, window_bytes, kProtReadWrite);
 
   s.manager_space->program =
       BuildPagerProgram(name + "-pager", port_h, kPagerBackingBase, think_cycles);
-  s.manager_thread = k.CreateThread(s.manager_space.get(), nullptr, /*priority=*/5);
+  s.manager_thread = k.CreateThread(s.manager_space, nullptr, /*priority=*/5);
   return s;
 }
 

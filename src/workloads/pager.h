@@ -15,7 +15,6 @@
 #define SRC_WORKLOADS_PAGER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/kern/kernel.h"
@@ -23,11 +22,11 @@
 namespace fluke {
 
 struct ManagedSetup {
-  std::shared_ptr<Space> manager_space;
+  Space* manager_space = nullptr;
   Thread* manager_thread = nullptr;
-  std::shared_ptr<Space> child_space;
-  std::shared_ptr<Port> keeper_port;
-  std::shared_ptr<Region> backing_region;
+  Space* child_space = nullptr;
+  Port* keeper_port = nullptr;
+  Region* backing_region = nullptr;
   uint32_t window_bytes = 0;  // child demand-backed range is [0, window)
 };
 

@@ -34,7 +34,7 @@ class ChaosTest : public testing::TestWithParam<KernelConfig> {};
 TEST_P(ChaosTest, AtomicitySweepIsBitIdenticalAtEveryBoundary) {
   for (const bool threaded : {false, true}) {
     KernelConfig cfg = GetParam();
-    cfg.enable_threaded_interp = threaded;
+    cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
     const ProgramRef prog = BuildAuditProgram(SimpleWorld::kAnonBase);
     const AuditResult r =
         RunAtomicityAudit(cfg, prog, SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
@@ -66,7 +66,7 @@ struct DetRun {
 };
 
 DetRun RunSeeded(KernelConfig cfg, bool threaded, uint64_t seed = 0xC0FFEE) {
-  cfg.enable_threaded_interp = threaded;
+  cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
   cfg.fault_plan.enabled = true;
   cfg.fault_plan.seed = seed;
   cfg.fault_plan.fail_frame_permille = 120;  // ~12% of frame allocs fail
@@ -76,7 +76,7 @@ DetRun RunSeeded(KernelConfig cfg, bool threaded, uint64_t seed = 0xC0FFEE) {
   space->SetAnonRange(SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
   const ProgramRef prog = BuildAuditProgram(SimpleWorld::kAnonBase);
   space->program = prog;
-  k.StartThread(k.CreateThread(space.get(), prog));
+  k.StartThread(k.CreateThread(space, prog));
   k.finj.Arm();
   DetRun r;
   r.quiesced = k.RunUntilQuiescent(60ull * 1000 * kNsPerMs);
@@ -220,8 +220,8 @@ TEST_P(ChaosTest, ConnectFaultsSurfaceAsNoMemoryAndRetrySucceeds) {
   server_space->SetAnonRange(SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
   client_space->SetAnonRange(SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
   auto port = k.NewPort(/*badge=*/7);
-  const Handle server_port_h = k.Install(server_space.get(), port);
-  const Handle client_ref_h = k.Install(client_space.get(), k.NewReference(port));
+  const Handle server_port_h = k.Install(server_space, port);
+  const Handle client_ref_h = k.Install(client_space, k.NewReference(port));
 
   // Client: two messages; each connect retries on kFlukeErrNoMemory (the
   // second message's first attempt is the one the plan kills).
@@ -249,8 +249,8 @@ TEST_P(ChaosTest, ConnectFaultsSurfaceAsNoMemoryAndRetrySucceeds) {
 
   server_space->program = sa.Build();
   client_space->program = ca.Build();
-  Thread* st = k.CreateThread(server_space.get(), nullptr);
-  Thread* ct = k.CreateThread(client_space.get(), nullptr);
+  Thread* st = k.CreateThread(server_space, nullptr);
+  Thread* ct = k.CreateThread(client_space, nullptr);
   k.StartThread(st);
   k.StartThread(ct);
   k.finj.Arm();
@@ -330,7 +330,7 @@ TEST_P(ChaosTest, CrashAtBoundaryThenRestoreConverges) {
     auto space = k->CreateSpace("job-space");
     space->SetAnonRange(SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
     space->program = registry.Find("job");
-    k->StartThread(k->CreateThread(space.get(), space->program));
+    k->StartThread(k->CreateThread(space, space->program));
     return std::make_pair(std::move(k), space);
   };
 
@@ -347,7 +347,7 @@ TEST_P(ChaosTest, CrashAtBoundaryThenRestoreConverges) {
       SerializeCheckpoint(CaptureSpace(*vk, *vspace));
   // CaptureSpace stopped the thread; resume and run into the crash.
   for (const auto& t : vk->threads()) {
-    vk->ResumeThread(t.get());
+    vk->ResumeThread(t);
   }
   KernelConfig crash_cfg = GetParam();
   crash_cfg.fault_plan.enabled = true;

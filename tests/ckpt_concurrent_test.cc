@@ -52,10 +52,10 @@ std::vector<KernelConfig> AllConfigsBothEngines() {
   std::vector<KernelConfig> v;
   for (const KernelConfig& c : AllPaperConfigs()) {
     KernelConfig on = c;
-    on.enable_threaded_interp = true;
+    on.interp_engine = InterpEngine::kThreaded;
     v.push_back(on);
     KernelConfig off = c;
-    off.enable_threaded_interp = false;
+    off.interp_engine = InterpEngine::kSwitch;
     v.push_back(off);
   }
   return v;
@@ -68,7 +68,7 @@ std::string EngineConfigName(const testing::TestParamInfo<KernelConfig>& info) {
       c = '_';
     }
   }
-  return s + (info.param.enable_threaded_interp ? "_goto" : "_switch");
+  return s + (info.param.interp_engine == InterpEngine::kSwitch ? "_switch" : "_goto");
 }
 
 // A three-space machine: an rpc client/server pair wired through a port (live
@@ -90,8 +90,8 @@ struct World {
     ss->SetAnonRange(0x10000, 1 << 20);
     ws->SetAnonRange(0x10000, 1 << 20);
     auto port = kernel.NewPort(7);
-    const Handle sp = kernel.Install(ss.get(), port);
-    const Handle cr = kernel.Install(cs.get(), kernel.NewReference(port));
+    const Handle sp = kernel.Install(ss, port);
+    const Handle cr = kernel.Install(cs, kernel.NewReference(port));
 
     Assembler ca("ck-client");
     EmitSys(ca, kSysIpcClientConnect, cr);
@@ -167,9 +167,9 @@ struct World {
     registry.Register(ss->program);
     registry.Register(ws->program);
 
-    all.push_back(kernel.CreateThread(ss.get()));
-    all.push_back(kernel.CreateThread(cs.get()));
-    all.push_back(kernel.CreateThread(ws.get()));
+    all.push_back(kernel.CreateThread(ss));
+    all.push_back(kernel.CreateThread(cs));
+    all.push_back(kernel.CreateThread(ws));
     for (Thread* t : all) {
       kernel.StartThread(t);
     }
@@ -759,7 +759,7 @@ TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
   auto space = k.CreateSpace("job");
   space->SetAnonRange(0x10000, 1 << 20);
   auto mutex = k.NewMutex();
-  const Handle m = k.Install(space.get(), mutex);
+  const Handle m = k.Install(space, mutex);
   Assembler aa("fa");
   EmitSys(aa, kSysMutexLock, m);
   aa.MovImm(kRegB, 0x11223344);
@@ -776,8 +776,8 @@ TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
   ab.Halt();
   registry.Register(aa.Build());
   registry.Register(ab.Build());
-  k.StartThread(k.CreateThread(space.get(), registry.Find("fa")));
-  k.StartThread(k.CreateThread(space.get(), registry.Find("fb")));
+  k.StartThread(k.CreateThread(space, registry.Find("fa")));
+  k.StartThread(k.CreateThread(space, registry.Find("fb")));
   k.Run(k.clock.now() + 2 * kNsPerMs);
 
   const std::vector<uint8_t> v2 = SerializeCheckpoint(CaptureSpace(k, *space));

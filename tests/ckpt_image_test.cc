@@ -15,14 +15,14 @@ class CkptImageTest : public testing::TestWithParam<KernelConfig> {};
 struct Frozen {
   ProgramRegistry registry;
   Kernel kernel;
-  std::shared_ptr<Space> space;
+  Space* space = nullptr;
   CheckpointImage img;
 
   explicit Frozen(const KernelConfig& cfg) : kernel(cfg) {
     space = kernel.CreateSpace("job");
     space->SetAnonRange(0x10000, 1 << 20);
     auto mutex = kernel.NewMutex();
-    const Handle m = kernel.Install(space.get(), mutex);
+    const Handle m = kernel.Install(space, mutex);
 
     Assembler aa("fa");
     EmitSys(aa, kSysMutexLock, m);
@@ -40,8 +40,8 @@ struct Frozen {
     ab.Halt();
     registry.Register(aa.Build());
     registry.Register(ab.Build());
-    kernel.StartThread(kernel.CreateThread(space.get(), registry.Find("fa")));
-    kernel.StartThread(kernel.CreateThread(space.get(), registry.Find("fb")));
+    kernel.StartThread(kernel.CreateThread(space, registry.Find("fa")));
+    kernel.StartThread(kernel.CreateThread(space, registry.Find("fb")));
     kernel.Run(kernel.clock.now() + 2 * kNsPerMs);  // A computes, B blocked
     img = CaptureSpace(kernel, *space);
   }

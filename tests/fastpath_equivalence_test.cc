@@ -119,8 +119,8 @@ Snapshot RunRpcPingPong(KernelConfig cfg) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -136,8 +136,8 @@ Snapshot RunRpcPingPong(KernelConfig cfg) {
   EmitSys(sa, kSysIpcServerAckSendOverReceive, 0, 0x10100, 1, 0x10000, 1);
   sa.Jmp(sloop);
   ss->program = sa.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
   if (cfg.fault_plan.enabled) {
     k.finj.Arm();
   }
@@ -171,7 +171,7 @@ void ExpectEquivalent(const KernelConfig& base, WorkloadFn run, const char* what
                       bool expect_entries, bool expect_handoffs) {
   for (const bool threaded : {false, true}) {
     KernelConfig off = base;
-    off.enable_threaded_interp = threaded;
+    off.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
     off.fast_path = false;
     KernelConfig on = off;
     on.fast_path = true;
@@ -225,7 +225,7 @@ TEST_P(FastPathEquivalenceTest, ArmedFaultPlanForcesSlowPathAndConverges) {
   for (const bool threaded : {false, true}) {
     for (const WorkloadFn run : {RunTrivialMix, RunRpcPingPong}) {
       KernelConfig off = GetParam();
-      off.enable_threaded_interp = threaded;
+      off.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
       off.fault_plan.enabled = true;
       off.fault_plan.seed = 0xFA57;
       off.fast_path = false;

@@ -33,7 +33,7 @@ TEST_P(FaultTest, HardFaultServedByManager) {
   }
   a.Halt();
   m.child_space->program = a.Build();
-  Thread* child = k.CreateThread(m.child_space.get());
+  Thread* child = k.CreateThread(m.child_space);
   k.StartThread(child);
 
   ASSERT_TRUE(k.RunUntilThreadDone(child, 10ull * 1000 * kNsPerMs));
@@ -66,7 +66,7 @@ TEST_P(FaultTest, PreProvidedPagesFaultSoftOnly) {
   a.LoadB(kRegB, kRegC, 0);
   a.Halt();
   m.child_space->program = a.Build();
-  Thread* child = k.CreateThread(m.child_space.get());
+  Thread* child = k.CreateThread(m.child_space);
   k.StartThread(child);
   k.Run(k.clock.now() + 100 * kNsPerMs);
   EXPECT_EQ(child->run_state, ThreadRun::kDead);
@@ -80,8 +80,8 @@ TEST_P(FaultTest, TwoLevelHierarchyResolves) {
   Kernel k(GetParam());
   ManagedSetup m = BuildManagedSpace(k, 1 << 20, "t");
   auto grandchild = k.CreateSpace("grandchild");
-  auto region2 = k.NewRegion(m.child_space.get(), 0, 1 << 20, kProtReadWrite);
-  k.NewMapping(grandchild.get(), 0, region2.get(), 0, 1 << 20, kProtReadWrite);
+  auto region2 = k.NewRegion(m.child_space, 0, 1 << 20, kProtReadWrite);
+  k.NewMapping(grandchild, 0, region2, 0, 1 << 20, kProtReadWrite);
 
   // Provide the page at the manager level only.
   ASSERT_NE(m.manager_space->ProvidePage(kPagerBackingBase + 0x5000), kInvalidFrame);
@@ -95,7 +95,7 @@ TEST_P(FaultTest, TwoLevelHierarchyResolves) {
   a.StoreB(kRegB, kRegC, 0);  // same page, already installed
   a.Halt();
   grandchild->program = a.Build();
-  Thread* t = k.CreateThread(grandchild.get());
+  Thread* t = k.CreateThread(grandchild);
   k.StartThread(t);
   k.Run(k.clock.now() + 100 * kNsPerMs);
   EXPECT_EQ(t->run_state, ThreadRun::kDead);
@@ -111,8 +111,8 @@ TEST_P(FaultTest, ProtectionRespectedThroughHierarchy) {
   Kernel k(GetParam());
   auto parent = k.CreateSpace("parent");
   auto child = k.CreateSpace("child");
-  auto region = k.NewRegion(parent.get(), 0x8000, kPageSize, kProtReadWrite);
-  k.NewMapping(child.get(), 0x8000, region.get(), 0, kPageSize, kProtRead);  // RO import
+  auto region = k.NewRegion(parent, 0x8000, kPageSize, kProtReadWrite);
+  k.NewMapping(child, 0x8000, region, 0, kPageSize, kProtRead);  // RO import
   ASSERT_NE(parent->ProvidePage(0x8000), kInvalidFrame);
 
   Assembler a("child");
@@ -121,7 +121,7 @@ TEST_P(FaultTest, ProtectionRespectedThroughHierarchy) {
   a.StoreB(kRegB, kRegC, 0);  // write: unservable -> thread killed
   a.Halt();
   child->program = a.Build();
-  Thread* t = k.CreateThread(child.get());
+  Thread* t = k.CreateThread(child);
   k.StartThread(t);
   k.Run(k.clock.now() + 100 * kNsPerMs);
   EXPECT_EQ(t->run_state, ThreadRun::kDead);
@@ -154,7 +154,7 @@ TEST_P(FaultTest, MemtestMiniUnderManager) {
   a.StoreW(kRegD, kRegC, 0);  // store accumulator at address 0
   a.Halt();
   m.child_space->program = a.Build();
-  Thread* child = k.CreateThread(m.child_space.get());
+  Thread* child = k.CreateThread(m.child_space);
   k.StartThread(child);
   ASSERT_TRUE(k.RunUntilThreadDone(child, 20ull * 1000 * kNsPerMs));
   EXPECT_EQ(child->run_state, ThreadRun::kDead);
@@ -174,13 +174,13 @@ struct IpcFaultWorld {
     kernel.StartThread(client.manager_thread);
     kernel.StartThread(server.manager_thread);
     port = kernel.NewPort(3);
-    server_port_h = kernel.Install(server.child_space.get(), port);
-    client_ref_h = kernel.Install(client.child_space.get(), kernel.NewReference(port));
+    server_port_h = kernel.Install(server.child_space, port);
+    client_ref_h = kernel.Install(client.child_space, kernel.NewReference(port));
   }
   Kernel kernel;
   ManagedSetup client;
   ManagedSetup server;
-  std::shared_ptr<Port> port;
+  Port* port = nullptr;
   Handle server_port_h = 0;
   Handle client_ref_h = 0;
 };
@@ -202,8 +202,8 @@ TEST_P(FaultTest, IpcFaultsAttributedBySide) {
   sa.Halt();
   w.server.child_space->program = sa.Build();
   w.client.child_space->program = ca.Build();
-  Thread* st = w.kernel.CreateThread(w.server.child_space.get());
-  Thread* ct = w.kernel.CreateThread(w.client.child_space.get());
+  Thread* st = w.kernel.CreateThread(w.server.child_space);
+  Thread* ct = w.kernel.CreateThread(w.client.child_space);
   w.kernel.StartThread(st);
   w.kernel.StartThread(ct);
   ASSERT_TRUE(w.kernel.RunUntilThreadDone(ct, 30ull * 1000 * kNsPerMs));
@@ -245,8 +245,8 @@ TEST_P(FaultTest, IpcTransferSurvivesFaultsWithIntegrity) {
   sa.Halt();
   w.server.child_space->program = sa.Build();
   w.client.child_space->program = ca.Build();
-  Thread* st2 = w.kernel.CreateThread(w.server.child_space.get());
-  Thread* ct2 = w.kernel.CreateThread(w.client.child_space.get());
+  Thread* st2 = w.kernel.CreateThread(w.server.child_space);
+  Thread* ct2 = w.kernel.CreateThread(w.client.child_space);
   w.kernel.StartThread(st2);
   w.kernel.StartThread(ct2);
   ASSERT_TRUE(w.kernel.RunUntilThreadDone(ct2, 60ull * 1000 * kNsPerMs));
@@ -267,7 +267,7 @@ TEST_P(FaultTest, IpcTransferSurvivesFaultsWithIntegrity) {
 
 TEST_P(FaultTest, RegionSearchFindsRegion) {
   SimpleWorld w(GetParam());
-  auto region = w.kernel.NewRegion(w.space.get(), 0x200000, 0x4000, kProtReadWrite);
+  auto region = w.kernel.NewRegion(w.space, 0x200000, 0x4000, kProtReadWrite);
   Assembler a("search");
   // Search a range that covers the region.
   EmitSys(a, kSysRegionSearch, 0x1F0000, 0x20000);

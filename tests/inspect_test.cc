@@ -14,7 +14,7 @@ TEST_P(InspectTest, BlockedThreadShowsRestartPoint) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler a("locker");
   EmitSys(a, kSysMutexLock, m);
   a.Halt();
@@ -31,7 +31,7 @@ TEST_P(InspectTest, BlockedThreadShowsRestartPoint) {
 TEST_P(InspectTest, MidIpcThreadShowsAdvancedRegisters) {
   SimpleWorld w(GetParam());
   auto port = w.kernel.NewPort(1);
-  const Handle r = w.kernel.Install(w.space.get(), w.kernel.NewReference(port));
+  const Handle r = w.kernel.Install(w.space, w.kernel.NewReference(port));
   Assembler a("client");
   EmitSys(a, kSysIpcClientConnectSend, r, SimpleWorld::kAnonBase, 16, 0, 0);
   a.Halt();

@@ -397,8 +397,8 @@ DetResult RunWorkload(KernelConfig cfg, InterpEngine engine) {
   ss->SetAnonRange(0x10000, 4 << 20);
   bs->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(9);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
   constexpr uint32_t kBuf = 0x20000;
   constexpr uint32_t kBufBytes = 16 * kPageSize;
   constexpr uint32_t kWords = kBufBytes / 4;
@@ -444,9 +444,9 @@ DetResult RunWorkload(KernelConfig cfg, InterpEngine engine) {
   ss->program = sa.Build();
   cs->program = ca.Build();
   bs->program = ba.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
-  k.StartThread(k.CreateThread(bs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
+  k.StartThread(k.CreateThread(bs));
   EXPECT_TRUE(k.RunUntilQuiescent(120ull * 1000 * kNsPerMs));
 
   DetResult r;

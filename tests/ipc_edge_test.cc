@@ -16,24 +16,25 @@ struct Duo {
     server_space->SetAnonRange(kAnon, 1 << 20);
     client_space->SetAnonRange(kAnon, 1 << 20);
     port = kernel.NewPort(badge);
-    sport = kernel.Install(server_space.get(), port);
-    cref = kernel.Install(client_space.get(), kernel.NewReference(port));
+    sport = kernel.Install(server_space, port);
+    cref = kernel.Install(client_space, kernel.NewReference(port));
   }
   Thread* Server(ProgramRef p) {
     server_space->program = std::move(p);
-    Thread* t = kernel.CreateThread(server_space.get());
+    Thread* t = kernel.CreateThread(server_space);
     kernel.StartThread(t);
     return t;
   }
   Thread* Client(ProgramRef p) {
     client_space->program = std::move(p);
-    Thread* t = kernel.CreateThread(client_space.get());
+    Thread* t = kernel.CreateThread(client_space);
     kernel.StartThread(t);
     return t;
   }
   Kernel kernel;
-  std::shared_ptr<Space> server_space, client_space;
-  std::shared_ptr<Port> port;
+  Space* server_space = nullptr;
+  Space* client_space = nullptr;
+  Port* port = nullptr;
   Handle sport = 0, cref = 0;
 };
 
@@ -205,7 +206,7 @@ TEST_P(IpcEdgeTest, DoubleConnectIsAnError) {
 
 TEST_P(IpcEdgeTest, SignalWithNoWaitersIsANoOp) {
   SimpleWorld w(GetParam());
-  const Handle c = w.kernel.Install(w.space.get(), w.kernel.NewCond());
+  const Handle c = w.kernel.Install(w.space, w.kernel.NewCond());
   Assembler a("t");
   EmitSys(a, kSysCondSignal, c);
   EmitCheckOk(a);
@@ -220,8 +221,8 @@ TEST_P(IpcEdgeTest, SignalWithNoWaitersIsANoOp) {
 
 TEST_P(IpcEdgeTest, CondWaitWithUnlockedMutexErrors) {
   SimpleWorld w(GetParam());
-  const Handle c = w.kernel.Install(w.space.get(), w.kernel.NewCond());
-  const Handle m = w.kernel.Install(w.space.get(), w.kernel.NewMutex());
+  const Handle c = w.kernel.Install(w.space, w.kernel.NewCond());
+  const Handle m = w.kernel.Install(w.space, w.kernel.NewMutex());
   Assembler a("t");
   EmitSys(a, kSysCondWait, c, m);  // mutex not held
   a.MovImm(kRegC, SimpleWorld::kAnonBase);

@@ -24,8 +24,8 @@ struct TransferWorld {
     kernel.StartThread(client.manager_thread);
     kernel.StartThread(server.manager_thread);
     port = kernel.NewPort(9);
-    sport = kernel.Install(server.child_space.get(), port);
-    cref = kernel.Install(client.child_space.get(), kernel.NewReference(port));
+    sport = kernel.Install(server.child_space, port);
+    cref = kernel.Install(client.child_space, kernel.NewReference(port));
 
     // Pattern in the client's backing store (present at the manager level:
     // the client child faults SOFTLY per page; the server side faults HARD).
@@ -54,8 +54,8 @@ struct TransferWorld {
     sa.Halt();
     client.child_space->program = ca.Build();
     server.child_space->program = sa.Build();
-    ct = kernel.CreateThread(client.child_space.get());
-    st = kernel.CreateThread(server.child_space.get());
+    ct = kernel.CreateThread(client.child_space);
+    st = kernel.CreateThread(server.child_space);
     kernel.StartThread(st);
     kernel.StartThread(ct);
   }
@@ -84,7 +84,7 @@ struct TransferWorld {
   ManagedSetup client;
   ManagedSetup server;
   uint32_t words;
-  std::shared_ptr<Port> port;
+  Port* port = nullptr;
   Handle sport = 0, cref = 0;
   Thread* ct = nullptr;
   Thread* st = nullptr;
@@ -146,8 +146,8 @@ TEST_P(IpcPropertyTest, InterruptedSenderReportsCleanStageBoundary) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(1);
-  const Handle sport = k.Install(ss.get(), port);
-  const Handle cref = k.Install(cs.get(), k.NewReference(port));
+  const Handle sport = k.Install(ss, port);
+  const Handle cref = k.Install(cs, k.NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnectSend, cref, 0x10000, kWords, 0, 0);
@@ -161,8 +161,8 @@ TEST_P(IpcPropertyTest, InterruptedSenderReportsCleanStageBoundary) {
   sa.Halt();
   cs->program = ca.Build();
   ss->program = sa.Build();
-  Thread* st = k.CreateThread(ss.get());
-  Thread* ct = k.CreateThread(cs.get());
+  Thread* st = k.CreateThread(ss);
+  Thread* ct = k.CreateThread(cs);
   k.StartThread(st);
   k.StartThread(ct);
   k.Run(k.clock.now() + 50 * kNsPerMs);

@@ -22,19 +22,19 @@ struct IpcWorld {
     server_space->SetAnonRange(kAnon, kAnonSize);
     client_space->SetAnonRange(kAnon, kAnonSize);
     port = kernel.NewPort(badge);
-    server_port_h = kernel.Install(server_space.get(), port);
-    client_ref_h = kernel.Install(client_space.get(), kernel.NewReference(port));
+    server_port_h = kernel.Install(server_space, port);
+    client_ref_h = kernel.Install(client_space, kernel.NewReference(port));
   }
 
   Thread* SpawnServer(ProgramRef p, int prio = 4) {
     server_space->program = std::move(p);
-    Thread* t = kernel.CreateThread(server_space.get(), nullptr, prio);
+    Thread* t = kernel.CreateThread(server_space, nullptr, prio);
     kernel.StartThread(t);
     return t;
   }
   Thread* SpawnClient(ProgramRef p, int prio = 4) {
     client_space->program = std::move(p);
-    Thread* t = kernel.CreateThread(client_space.get(), nullptr, prio);
+    Thread* t = kernel.CreateThread(client_space, nullptr, prio);
     kernel.StartThread(t);
     return t;
   }
@@ -44,9 +44,9 @@ struct IpcWorld {
   }
 
   Kernel kernel;
-  std::shared_ptr<Space> server_space;
-  std::shared_ptr<Space> client_space;
-  std::shared_ptr<Port> port;
+  Space* server_space = nullptr;
+  Space* client_space = nullptr;
+  Port* port = nullptr;
   Handle server_port_h = 0;
   Handle client_ref_h = 0;
 };
@@ -464,9 +464,9 @@ TEST_P(IpcTest, AlertBreaksBlockedReceive) {
 TEST_P(IpcTest, PortsetReceivesFromMemberPorts) {
   IpcWorld w(GetParam(), /*badge=*/1);
   auto port2 = w.kernel.NewPort(/*badge=*/2);
-  const Handle ps_h = w.kernel.Install(w.server_space.get(), w.kernel.NewPortset());
-  const Handle p2_h = w.kernel.Install(w.server_space.get(), port2);
-  const Handle ref2_h = w.kernel.Install(w.client_space.get(), w.kernel.NewReference(port2));
+  const Handle ps_h = w.kernel.Install(w.server_space, w.kernel.NewPortset());
+  const Handle p2_h = w.kernel.Install(w.server_space, port2);
+  const Handle ref2_h = w.kernel.Install(w.client_space, w.kernel.NewReference(port2));
 
   // Server: add both ports to the set, then receive twice recording badges.
   Assembler sa("server");
@@ -495,7 +495,7 @@ TEST_P(IpcTest, PortsetReceivesFromMemberPorts) {
   c2.Halt();
   w.SpawnServer(sa.Build());
   w.SpawnClient(c1.Build());
-  w.kernel.StartThread(w.kernel.CreateThread(w.client_space.get(), c2.Build(), 4));
+  w.kernel.StartThread(w.kernel.CreateThread(w.client_space, c2.Build(), 4));
   w.RunAll();
 
   uint32_t badges[2] = {};

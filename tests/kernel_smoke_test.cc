@@ -3,6 +3,11 @@
 // API must behave identically regardless of execution model and preemption
 // mode.
 
+#include <malloc.h>
+
+#include <cstdint>
+
+#include "src/workloads/apps.h"
 #include "tests/test_util.h"
 
 namespace fluke {
@@ -175,6 +180,33 @@ TEST_P(SmokeTest, StatsCountSyscalls) {
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, SmokeTest, testing::ValuesIn(AllPaperConfigs()),
                          ConfigName);
+
+// A destroyed kernel gives back all the heap it took: the Kernel owns every
+// object and the storage it lives in, so teardown frees everything. The
+// first kernel warms up whatever the process keeps across kernels (allocator
+// arenas, static tables); the second must then leave the heap where it found
+// it. mallinfo2 cannot see AddressSanitizer's allocator; under ASan,
+// LeakSanitizer checks the same property for every test.
+TEST(KernelLifetime, DestroyedC1mKernelReturnsItsHeap) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "covered by LeakSanitizer under AddressSanitizer";
+#endif
+  auto run_c1m = [] {
+    Kernel k(KernelConfig{});
+    C1mParams p;
+    p.clients = 1008;
+    const Time deadline = k.clock.now() + kNsPerMs * (2000 + 2ull * p.clients);
+    for (Thread* t : BuildC1mWorkload(k, p)) {
+      ASSERT_TRUE(k.RunUntilThreadDone(t, deadline - k.clock.now()));
+    }
+  };
+  run_c1m();
+  const int64_t before = static_cast<int64_t>(mallinfo2().uordblks);
+  run_c1m();
+  const int64_t grown = static_cast<int64_t>(mallinfo2().uordblks) - before;
+  EXPECT_LE(grown, 64 * 1024) << "a destroyed 1008-client kernel kept " << grown / 1024
+                              << " KiB of heap";
+}
 
 }  // namespace
 }  // namespace fluke

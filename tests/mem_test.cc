@@ -131,8 +131,8 @@ TEST_F(SpaceMemTest, PageStraddlingWordAccess) {
 TEST_F(SpaceMemTest, SoftWalkInstallsSharedFrame) {
   auto parent = k_.CreateSpace("parent");
   auto child = k_.CreateSpace("child");
-  auto region = k_.NewRegion(parent.get(), 0x8000, 4 * kPageSize, kProtReadWrite);
-  k_.NewMapping(child.get(), 0x20000, region.get(), kPageSize, 2 * kPageSize, kProtReadWrite);
+  auto region = k_.NewRegion(parent, 0x8000, 4 * kPageSize, kProtReadWrite);
+  k_.NewMapping(child, 0x20000, region, kPageSize, 2 * kPageSize, kProtReadWrite);
 
   // Provide the parent page backing child 0x21000 (region offset 2 pages).
   ASSERT_NE(parent->ProvidePage(0x8000 + 2 * kPageSize), kInvalidFrame);
@@ -153,8 +153,8 @@ TEST_F(SpaceMemTest, SoftWalkInstallsSharedFrame) {
 TEST_F(SpaceMemTest, WalkFailsOutsideMappingWindow) {
   auto parent = k_.CreateSpace("parent");
   auto child = k_.CreateSpace("child");
-  auto region = k_.NewRegion(parent.get(), 0x8000, kPageSize, kProtReadWrite);
-  k_.NewMapping(child.get(), 0x20000, region.get(), 0, kPageSize, kProtReadWrite);
+  auto region = k_.NewRegion(parent, 0x8000, kPageSize, kProtReadWrite);
+  k_.NewMapping(child, 0x20000, region, 0, kPageSize, kProtReadWrite);
   ASSERT_NE(parent->ProvidePage(0x8000), kInvalidFrame);
   EXPECT_TRUE(child->TryResolveSoft(0x20000, false).resolved);
   EXPECT_FALSE(child->TryResolveSoft(0x21000, false).resolved);  // past the window
@@ -163,10 +163,10 @@ TEST_F(SpaceMemTest, WalkFailsOutsideMappingWindow) {
 TEST_F(SpaceMemTest, OffsetBeyondRegionFails) {
   auto parent = k_.CreateSpace("parent");
   auto child = k_.CreateSpace("child");
-  auto region = k_.NewRegion(parent.get(), 0x8000, kPageSize, kProtReadWrite);
+  auto region = k_.NewRegion(parent, 0x8000, kPageSize, kProtReadWrite);
   // Mapping window is 2 pages but the region only has 1: the second page
   // falls off the end of the region.
-  k_.NewMapping(child.get(), 0x20000, region.get(), 0, 2 * kPageSize, kProtReadWrite);
+  k_.NewMapping(child, 0x20000, region, 0, 2 * kPageSize, kProtReadWrite);
   ASSERT_NE(parent->ProvidePage(0x8000), kInvalidFrame);
   EXPECT_TRUE(child->TryResolveSoft(0x20000, false).resolved);
   EXPECT_FALSE(child->TryResolveSoft(0x21000, false).resolved);
@@ -175,8 +175,8 @@ TEST_F(SpaceMemTest, OffsetBeyondRegionFails) {
 TEST_F(SpaceMemTest, ProtIntersectsAlongChain) {
   auto parent = k_.CreateSpace("parent");
   auto child = k_.CreateSpace("child");
-  auto region = k_.NewRegion(parent.get(), 0x8000, kPageSize, kProtReadWrite);
-  k_.NewMapping(child.get(), 0x20000, region.get(), 0, kPageSize, kProtRead);
+  auto region = k_.NewRegion(parent, 0x8000, kPageSize, kProtReadWrite);
+  k_.NewMapping(child, 0x20000, region, 0, kPageSize, kProtRead);
   ASSERT_NE(parent->ProvidePage(0x8000), kInvalidFrame);
   EXPECT_FALSE(child->TryResolveSoft(0x20000, /*want_write=*/true).resolved);
   EXPECT_TRUE(child->TryResolveSoft(0x20000, /*want_write=*/false).resolved);
@@ -188,10 +188,10 @@ TEST_F(SpaceMemTest, CyclicMappingsTerminate) {
   // fail cleanly (depth limit), not loop.
   auto a = k_.CreateSpace("a");
   auto b = k_.CreateSpace("b");
-  auto ra = k_.NewRegion(a.get(), 0x1000, kPageSize, kProtReadWrite);
-  auto rb = k_.NewRegion(b.get(), 0x1000, kPageSize, kProtReadWrite);
-  k_.NewMapping(a.get(), 0x1000, rb.get(), 0, kPageSize, kProtReadWrite);
-  k_.NewMapping(b.get(), 0x1000, ra.get(), 0, kPageSize, kProtReadWrite);
+  auto ra = k_.NewRegion(a, 0x1000, kPageSize, kProtReadWrite);
+  auto rb = k_.NewRegion(b, 0x1000, kPageSize, kProtReadWrite);
+  k_.NewMapping(a, 0x1000, rb, 0, kPageSize, kProtReadWrite);
+  k_.NewMapping(b, 0x1000, ra, 0, kPageSize, kProtReadWrite);
   EXPECT_FALSE(a->TryResolveSoft(0x1000, false).resolved);
 }
 

@@ -74,11 +74,11 @@ TEST(MpTest, SpacesObserveDistinctHomeCpus) {
     a.Compute(20000);
     a.Halt();
     ProgramRef prog = a.Build();
-    std::vector<std::shared_ptr<Space>> spaces;
+    std::vector<Space*> spaces;
     for (int i = 0; i < kCpus; ++i) {
       auto sp = k.CreateSpace("s" + std::to_string(i));
       sp->SetAnonRange(0x10000, 1 << 16);
-      k.StartThread(k.CreateThread(sp.get(), prog));
+      k.StartThread(k.CreateThread(sp, prog));
       spaces.push_back(std::move(sp));
     }
     ASSERT_TRUE(k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
@@ -105,16 +105,16 @@ TEST(MpTest, MappingMergesAffinityDomainsAndMigrates) {
   Assembler a("w");
   a.Compute(5000);
   a.Halt();
-  Thread* t = k.CreateThread(sb.get(), a.Build());
+  Thread* t = k.CreateThread(sb, a.Build());
   k.StartThread(t);
   EXPECT_EQ(t->home_cpu, 1);
-  EXPECT_EQ(k.HomeCpuOf(sb.get()), 1);
+  EXPECT_EQ(k.HomeCpuOf(sb), 1);
 
-  auto region = k.NewRegion(sa.get(), 0x10000, 0x1000, kProtReadWrite);
-  k.NewMapping(sb.get(), 0x40000, region.get(), 0, 0x1000, kProtRead);
+  auto region = k.NewRegion(sa, 0x10000, 0x1000, kProtReadWrite);
+  k.NewMapping(sb, 0x40000, region, 0, 0x1000, kProtRead);
 
-  EXPECT_EQ(k.HomeCpuOf(sb.get()), 0) << "lower home id absorbs";
-  EXPECT_EQ(k.HomeCpuOf(sa.get()), 0);
+  EXPECT_EQ(k.HomeCpuOf(sb), 0) << "lower home id absorbs";
+  EXPECT_EQ(k.HomeCpuOf(sa), 0);
   EXPECT_EQ(t->home_cpu, 0) << "queued thread must follow its space";
   EXPECT_GE(k.stats.migrations, 1u);
   EXPECT_GE(k.stats.shootdowns_remote, 1u);
@@ -124,7 +124,7 @@ TEST(MpTest, MappingMergesAffinityDomainsAndMigrates) {
 TEST(MpTest, IpcAndSyncCorrectOnTwoCpus) {
   SimpleWorld w(MpConfig(ExecModel::kInterrupt, 2));
   // Reuse the contended-counter pattern from sync_test: exactness matters.
-  const Handle m = w.kernel.Install(w.space.get(), w.kernel.NewMutex());
+  const Handle m = w.kernel.Install(w.space, w.kernel.NewMutex());
   auto worker = [&](const char* name) {
     Assembler a(name);
     const auto loop = a.NewLabel();

@@ -152,6 +152,66 @@ TEST_P(ObjectsTest, ReferencePointsAtObject) {
   EXPECT_EQ(out[2], static_cast<uint32_t>(ObjType::kPort));
 }
 
+TEST_P(ObjectsTest, ReferenceToDestroyedPort) {
+  // Destroying a port does not free it: it stays a zombie until the kernel
+  // goes away, so a reference to it still reports what it targets, and a
+  // connect through it fails cleanly instead of touching freed memory.
+  SimpleWorld w(GetParam());
+  constexpr uint32_t kSlots = kStateBuf + 0x80;  // EmitCheckOk clobbers BP
+  Assembler a("dangling");
+  EmitSys(a, kSysPortCreate, 0, 0x99);
+  EmitCheckOk(a);
+  a.MovImm(kRegC, kSlots);
+  a.StoreW(kRegB, kRegC, 0);  // [0] = port handle
+  EmitSys(a, kSysRefCreate);
+  EmitCheckOk(a);
+  a.MovImm(kRegC, kSlots);
+  a.StoreW(kRegB, kRegC, 4);  // [1] = reference handle
+  a.Mov(kRegC, kRegB);
+  a.MovImm(kRegSP, kSlots);
+  a.LoadW(kRegB, kRegSP, 0);
+  a.MovImm(kRegA, kSysPortReference);
+  a.Syscall();
+  EmitCheckOk(a);
+  // ref_get_state while the port lives, then again after destroy and a
+  // connect attempt: words = [target type, target id].
+  auto get_ref_state = [&](uint32_t buf) {
+    a.MovImm(kRegSP, kSlots);
+    a.LoadW(kRegB, kRegSP, 4);
+    a.MovImm(kRegC, buf);
+    a.MovImm(kRegD, 2);
+    a.MovImm(kRegA, kSysRefGetState);
+    a.Syscall();
+  };
+  get_ref_state(kStateBuf);
+  EmitCheckOk(a);
+  a.MovImm(kRegSP, kSlots);
+  a.LoadW(kRegB, kRegSP, 0);
+  a.MovImm(kRegA, kSysPortDestroy);
+  a.Syscall();
+  StoreA(a, 0);
+  a.MovImm(kRegSP, kSlots);
+  a.LoadW(kRegB, kRegSP, 4);
+  a.MovImm(kRegA, kSysIpcClientConnect);
+  a.Syscall();
+  StoreA(a, 4);
+  get_ref_state(kStateBuf + 8);
+  StoreA(a, 8);
+  a.Halt();
+  auto out = RunAndRead(w, a.Build(), 3);
+  EXPECT_EQ(out[0], kFlukeOk);            // port_destroy
+  EXPECT_EQ(out[1], kFlukeErrBadHandle);  // connect through the reference
+  EXPECT_EQ(out[2], kFlukeOk);            // ref_get_state after the destroy
+  uint32_t before[2] = {};
+  uint32_t after[2] = {};
+  ASSERT_TRUE(w.space->HostRead(kStateBuf, before, sizeof(before)));
+  ASSERT_TRUE(w.space->HostRead(kStateBuf + 8, after, sizeof(after)));
+  EXPECT_EQ(before[0], static_cast<uint32_t>(ObjType::kPort));
+  EXPECT_NE(before[1], 0u);
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_EQ(after[1], before[1]);
+}
+
 TEST_P(ObjectsTest, PortStateCarriesBadge) {
   SimpleWorld w(GetParam());
   constexpr uint32_t kSlot = kStateBuf + 0x80;  // EmitCheckOk clobbers BP
@@ -314,7 +374,7 @@ TEST_P(ObjectsTest, DestroyedMutexFailsWaiters) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler wa("waiter");
   EmitSys(wa, kSysMutexLock, m);
   wa.MovImm(kRegC, kOut);
@@ -323,7 +383,7 @@ TEST_P(ObjectsTest, DestroyedMutexFailsWaiters) {
   Thread* t = w.Spawn(wa.Build());
   w.kernel.Run(w.kernel.clock.now() + 5 * kNsPerMs);
   ASSERT_EQ(t->run_state, ThreadRun::kBlocked);
-  w.kernel.DestroyObject(mutex.get());
+  w.kernel.DestroyObject(mutex);
   w.RunAll();
   uint32_t err = 0;
   ASSERT_TRUE(w.space->HostRead(kOut, &err, 4));
@@ -333,7 +393,7 @@ TEST_P(ObjectsTest, DestroyedMutexFailsWaiters) {
 TEST_P(ObjectsTest, DestroyedPortFailsQueuedClients) {
   SimpleWorld w(GetParam());
   auto port = w.kernel.NewPort(1);
-  const Handle r = w.kernel.Install(w.space.get(), w.kernel.NewReference(port));
+  const Handle r = w.kernel.Install(w.space, w.kernel.NewReference(port));
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, r);
   ca.MovImm(kRegC, kOut);
@@ -342,7 +402,7 @@ TEST_P(ObjectsTest, DestroyedPortFailsQueuedClients) {
   Thread* t = w.Spawn(ca.Build());
   w.kernel.Run(w.kernel.clock.now() + 5 * kNsPerMs);
   ASSERT_EQ(t->run_state, ThreadRun::kBlocked);
-  w.kernel.DestroyObject(port.get());
+  w.kernel.DestroyObject(port);
   w.RunAll();
   uint32_t err = 0;
   ASSERT_TRUE(w.space->HostRead(kOut, &err, 4));

@@ -34,8 +34,8 @@ std::unique_ptr<Kernel> RunRpc(KernelConfig cfg, uint32_t rounds = 50) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k->NewPort(1);
-  const Handle sp = k->Install(ss.get(), port);
-  const Handle cr = k->Install(cs.get(), k->NewReference(port));
+  const Handle sp = k->Install(ss, port);
+  const Handle cr = k->Install(cs, k->NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -64,8 +64,8 @@ std::unique_ptr<Kernel> RunRpc(KernelConfig cfg, uint32_t rounds = 50) {
   sa.Halt();
   ss->program = sa.Build();
 
-  k->StartThread(k->CreateThread(ss.get()));
-  k->StartThread(k->CreateThread(cs.get()));
+  k->StartThread(k->CreateThread(ss));
+  k->StartThread(k->CreateThread(cs));
   k->Run(k->clock.now() + 100 * kNsPerMs);
   return k;
 }

@@ -105,7 +105,7 @@ TEST_P(SchedTest, KernelOpDelaysTickInNpOnly) {
   // NP: the waiter is delayed by the whole search. PP: also delayed (the
   // search has no preemption point). FP: the waiter preempts mid-search.
   SimpleWorld w(GetParam());
-  auto region = w.kernel.NewRegion(w.space.get(), 0xF0000000u, kPageSize, kProtRead);
+  auto region = w.kernel.NewRegion(w.space, 0xF0000000u, kPageSize, kProtRead);
   (void)region;
   Assembler s("searcher");
   EmitSys(s, kSysRegionSearch, 0x40000000, 16 * 1024 * 1024);  // ~12 ms scan
@@ -134,7 +134,7 @@ TEST_P(SchedTest, FpPreemptionRetainsAndResumesKernelOp) {
   SimpleWorld w(GetParam());
   // The search must still complete correctly after being preempted many
   // times (retained frame, resumed mid-loop).
-  auto region = w.kernel.NewRegion(w.space.get(), 0x40000000u + (4 << 20), kPageSize, kProtRead);
+  auto region = w.kernel.NewRegion(w.space, 0x40000000u + (4 << 20), kPageSize, kProtRead);
   Assembler s("searcher");
   EmitSys(s, kSysRegionSearch, 0x40000000, 8 * 1024 * 1024);
   s.MovImm(kRegC, SimpleWorld::kAnonBase);
@@ -178,7 +178,7 @@ TEST_P(SchedTest, RestartStatsCountInterruptModelWakeups) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler a("locker");
   EmitSys(a, kSysMutexLock, m);
   a.Halt();
@@ -214,7 +214,7 @@ struct SchedDigestRun {
 };
 
 SchedDigestRun RunC1mDigest(KernelConfig cfg, bool threaded) {
-  cfg.enable_threaded_interp = threaded;
+  cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
   // Enable the injector with no failure rates: it records the dispatch-
   // boundary stream (the schedule) without injecting anything.
   cfg.fault_plan.enabled = true;

@@ -62,7 +62,7 @@ TEST_P(StateTest, BlockedThreadStateIsCommitted) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler a("t");
   EmitSys(a, kSysMutexLock, m);
   a.Halt();
@@ -90,7 +90,7 @@ TEST_P(StateTest, DestroyRecreateBlockedThreadIsTransparent) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler a("t");
   EmitSys(a, kSysMutexLock, m);
   EmitCheckOk(a);
@@ -106,7 +106,7 @@ TEST_P(StateTest, DestroyRecreateBlockedThreadIsTransparent) {
   w.kernel.DestroyThread(t);
   EXPECT_TRUE(mutex->waiters.empty());  // rollback removed it from the queue
 
-  Thread* t2 = w.kernel.CreateThread(w.space.get(), prog);
+  Thread* t2 = w.kernel.CreateThread(w.space, prog);
   ASSERT_TRUE(w.kernel.SetThreadState(t2, st));
   w.kernel.ResumeThread(t2);
   w.kernel.Run(w.kernel.clock.now() + 10 * kNsPerMs);
@@ -168,7 +168,7 @@ TEST_P(StateTest, RandomStopRestoreResumeIsTransparent) {
   std::string baseline;
   {
     SimpleWorld w(GetParam());
-    const Handle m = w.kernel.Install(w.space.get(), w.kernel.NewMutex());
+    const Handle m = w.kernel.Install(w.space, w.kernel.NewMutex());
     w.Spawn(RichSingleThread(m, kIters));
     w.RunAll();
     baseline = w.kernel.console.output();
@@ -177,7 +177,7 @@ TEST_P(StateTest, RandomStopRestoreResumeIsTransparent) {
 
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SimpleWorld w(GetParam());
-    const Handle m = w.kernel.Install(w.space.get(), w.kernel.NewMutex());
+    const Handle m = w.kernel.Install(w.space, w.kernel.NewMutex());
     Thread* t = w.Spawn(RichSingleThread(m, kIters));
     Rng rng(seed);
     int disturbances = 0;
@@ -246,7 +246,7 @@ TEST_P(StateTest, CheckpointMigrateAtArbitraryTimes) {
     auto space = k1.CreateSpace("job");
     space->SetAnonRange(0x10000, 1 << 20);
     CkptWorkload wl;
-    wl.Build(k1, space.get());
+    wl.Build(k1, space);
 
     k1.Run(k1.clock.now() + cut_us * kNsPerUs);
     const std::string before = k1.console.output();
@@ -286,7 +286,7 @@ TEST_P(StateTest, CheckpointPreservesMemoryExactly) {
   ProgramRegistry reg;
   reg.Register(a.Build());
   space->program = reg.Find("filler");
-  Thread* t = k1.CreateThread(space.get());
+  Thread* t = k1.CreateThread(space);
   k1.StartThread(t);
   ASSERT_TRUE(k1.RunUntilQuiescent(10ull * 1000 * kNsPerMs));
 
@@ -311,7 +311,7 @@ TEST_P(StateTest, InterruptedIpcStateMigrates) {
   auto space = k1.CreateSpace("cli");
   space->SetAnonRange(0x10000, 1 << 20);
   auto port1 = k1.NewPort(5);
-  const Handle ref_h = k1.Install(space.get(), k1.NewReference(port1));
+  const Handle ref_h = k1.Install(space, k1.NewReference(port1));
 
   ProgramRegistry reg;
   Assembler ca("migrant");
@@ -321,7 +321,7 @@ TEST_P(StateTest, InterruptedIpcStateMigrates) {
   ca.Halt();
   reg.Register(ca.Build());
   space->program = reg.Find("migrant");
-  Thread* t = k1.CreateThread(space.get());
+  Thread* t = k1.CreateThread(space);
   k1.StartThread(t);
   k1.Run(k1.clock.now() + 20 * kNsPerMs);
   ASSERT_EQ(t->run_state, ThreadRun::kBlocked);  // queued on the port
@@ -342,14 +342,14 @@ TEST_P(StateTest, InterruptedIpcStateMigrates) {
   // A server on the new kernel.
   auto sspace = k2.CreateSpace("srv");
   sspace->SetAnonRange(0x10000, 1 << 20);
-  const Handle sport_h = k2.Install(sspace.get(), port2);
+  const Handle sport_h = k2.Install(sspace, port2);
   Assembler sa("server");
   EmitSys(sa, kSysIpcWaitReceive, sport_h, 0, 0, 0x10000, 1);
   EmitCheckOk(sa);
   EmitPuts(sa, "got");
   sa.Halt();
   sspace->program = sa.Build();
-  k2.StartThread(k2.CreateThread(sspace.get()));
+  k2.StartThread(k2.CreateThread(sspace));
 
   for (Thread* rt : r.threads) {
     k2.ResumeThread(rt);

@@ -11,8 +11,8 @@ namespace {
 class SyncTest : public testing::TestWithParam<KernelConfig> {};
 
 // Installs a kernel-created mutex into the world's space; returns handle.
-Handle MakeMutex(SimpleWorld& w) { return w.kernel.Install(w.space.get(), w.kernel.NewMutex()); }
-Handle MakeCond(SimpleWorld& w) { return w.kernel.Install(w.space.get(), w.kernel.NewCond()); }
+Handle MakeMutex(SimpleWorld& w) { return w.kernel.Install(w.space, w.kernel.NewMutex()); }
+Handle MakeCond(SimpleWorld& w) { return w.kernel.Install(w.space, w.kernel.NewCond()); }
 
 TEST_P(SyncTest, LockUnlockUncontended) {
   SimpleWorld w(GetParam());
@@ -256,7 +256,7 @@ TEST_P(SyncTest, SpuriousWakeupViaCondDestroyIsSurvivable) {
   SimpleWorld w(GetParam());
   const Handle m = MakeMutex(w);
   auto cond = w.kernel.NewCond();
-  const Handle c = w.kernel.Install(w.space.get(), cond);
+  const Handle c = w.kernel.Install(w.space, cond);
 
   Assembler wa("waiter");
   EmitSys(wa, kSysMutexLock, m);
@@ -269,7 +269,7 @@ TEST_P(SyncTest, SpuriousWakeupViaCondDestroyIsSurvivable) {
 
   w.kernel.Run(w.kernel.clock.now() + 20 * kNsPerMs);
   ASSERT_EQ(t->run_state, ThreadRun::kBlocked);
-  w.kernel.DestroyObject(cond.get());
+  w.kernel.DestroyObject(cond);
   w.RunAll();
   EXPECT_EQ(w.kernel.console.output(), "x");
   EXPECT_EQ(t->run_state, ThreadRun::kDead);
@@ -278,7 +278,7 @@ TEST_P(SyncTest, SpuriousWakeupViaCondDestroyIsSurvivable) {
 TEST_P(SyncTest, MutexLockInterruptedReturnsError) {
   SimpleWorld w(GetParam());
   auto mutex = w.kernel.NewMutex();
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   mutex->locked = true;  // pre-locked by "someone"
 
   Assembler a("locker");

@@ -33,7 +33,7 @@ struct SimpleWorld {
     if (space->program == nullptr) {
       space->program = program;
     }
-    Thread* t = kernel.CreateThread(space.get(), std::move(program), priority);
+    Thread* t = kernel.CreateThread(space, std::move(program), priority);
     kernel.StartThread(t);
     return t;
   }
@@ -44,7 +44,7 @@ struct SimpleWorld {
   }
 
   Kernel kernel;
-  std::shared_ptr<Space> space;
+  Space* space = nullptr;
 };
 
 // The five paper configurations, for parameterized suites.

@@ -275,8 +275,8 @@ TEST(IpcLend, PageAlignedBulkTransferLendsAndIsolates) {
   cs->SetAnonRange(0x10000, 4 << 20);
   ss->SetAnonRange(0x10000, 4 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
   constexpr uint32_t kBytes = 256 * 1024;  // page-aligned, 64 pages
   constexpr uint32_t kWords = kBytes / 4;
   constexpr uint32_t kBuf = 0x20000;
@@ -297,8 +297,8 @@ TEST(IpcLend, PageAlignedBulkTransferLendsAndIsolates) {
   sa.Halt();
   ss->program = sa.Build();
   cs->program = ca.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
   ASSERT_TRUE(k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
 
   EXPECT_GT(k.stats.ipc_page_lends, 0u) << "aligned bulk transfer never lent";
@@ -338,8 +338,8 @@ DetResult RunWorkload(KernelConfig cfg, bool tlb) {
   cs->SetAnonRange(0x10000, 4 << 20);
   ss->SetAnonRange(0x10000, 4 << 20);
   auto port = k.NewPort(9);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
   constexpr uint32_t kBuf = 0x20000;
   constexpr uint32_t kBufBytes = 16 * kPageSize;
   constexpr uint32_t kWords = kBufBytes / 4;
@@ -379,8 +379,8 @@ DetResult RunWorkload(KernelConfig cfg, bool tlb) {
   }
   ss->program = sa.Build();
   cs->program = ca.Build();
-  k.StartThread(k.CreateThread(ss.get()));
-  k.StartThread(k.CreateThread(cs.get()));
+  k.StartThread(k.CreateThread(ss));
+  k.StartThread(k.CreateThread(cs));
   EXPECT_TRUE(k.RunUntilQuiescent(120ull * 1000 * kNsPerMs));
 
   DetResult r;

@@ -154,7 +154,7 @@ TEST_P(TraceKernelTest, RestartEventsDistinguishTheModels) {
   w.kernel.trace.Enable();
   auto mutex = w.kernel.NewMutex();
   mutex->locked = true;
-  const Handle m = w.kernel.Install(w.space.get(), mutex);
+  const Handle m = w.kernel.Install(w.space, mutex);
   Assembler a("t");
   EmitSys(a, kSysMutexLock, m);
   a.Halt();
@@ -228,8 +228,8 @@ std::unique_ptr<Kernel> RunRpc(KernelConfig cfg, bool traced, uint32_t rounds = 
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k->NewPort(1);
-  const Handle sp = k->Install(ss.get(), port);
-  const Handle cr = k->Install(cs.get(), k->NewReference(port));
+  const Handle sp = k->Install(ss, port);
+  const Handle cr = k->Install(cs, k->NewReference(port));
 
   Assembler ca("client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -258,8 +258,8 @@ std::unique_ptr<Kernel> RunRpc(KernelConfig cfg, bool traced, uint32_t rounds = 
   sa.Halt();
   ss->program = sa.Build();
 
-  k->StartThread(k->CreateThread(ss.get()));
-  k->StartThread(k->CreateThread(cs.get()));
+  k->StartThread(k->CreateThread(ss));
+  k->StartThread(k->CreateThread(cs));
   k->Run(k->clock.now() + 20 * kNsPerMs);
   return k;
 }
@@ -325,9 +325,9 @@ TEST_P(TraceKernelTest, DisarmedRunRecordsAndMutatesNothing) {
 // bit-identical between the threaded and switch interpreter engines.
 TEST_P(TraceKernelTest, CrossEngineTraceDigestsIdentical) {
   KernelConfig sw = GetParam();
-  sw.enable_threaded_interp = false;
+  sw.interp_engine = InterpEngine::kSwitch;
   KernelConfig th = GetParam();
-  th.enable_threaded_interp = true;
+  th.interp_engine = InterpEngine::kThreaded;
   auto a = RunRpc(sw, /*traced=*/true);
   auto b = RunRpc(th, /*traced=*/true);
   ASSERT_EQ(a->trace.dropped(), 0u);
@@ -345,9 +345,9 @@ TEST_P(TraceKernelTest, CrossEngineTraceDigestsIdentical) {
 TEST_P(TraceKernelTest, MpTraceDigestsIdenticalAcrossRunsAndEngines) {
   KernelConfig sw = GetParam();
   sw.num_cpus = 4;
-  sw.enable_threaded_interp = false;
+  sw.interp_engine = InterpEngine::kSwitch;
   KernelConfig th = sw;
-  th.enable_threaded_interp = true;
+  th.interp_engine = InterpEngine::kThreaded;
   auto a = RunRpc(sw, /*traced=*/true);
   auto b = RunRpc(sw, /*traced=*/true);
   auto c = RunRpc(th, /*traced=*/true);

@@ -169,8 +169,8 @@ Thread* BuildRpcWorkload(Kernel& k, uint32_t rounds) {
   cs->SetAnonRange(0x10000, 1 << 20);
   ss->SetAnonRange(0x10000, 1 << 20);
   auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss.get(), port);
-  const Handle cr = k.Install(cs.get(), k.NewReference(port));
+  const Handle sp = k.Install(ss, port);
+  const Handle cr = k.Install(cs, k.NewReference(port));
 
   Assembler ca("rpc-client");
   EmitSys(ca, kSysIpcClientConnect, cr);
@@ -201,8 +201,8 @@ Thread* BuildRpcWorkload(Kernel& k, uint32_t rounds) {
   sa.Halt();
   ss->program = sa.Build();
 
-  k.StartThread(k.CreateThread(ss.get()));
-  Thread* client = k.CreateThread(cs.get());
+  k.StartThread(k.CreateThread(ss));
+  Thread* client = k.CreateThread(cs);
   k.StartThread(client);
   return client;
 }
@@ -442,7 +442,7 @@ int Main(int argc, char** argv) {
       *out = BuildC1mWorkload(k, cp);
       out_names->assign(out->size(), "workload:c1m");
     } else {
-      std::shared_ptr<Space> space;
+      Space* space = nullptr;
       if (paged) {
         ManagedSetup m = BuildManagedSpace(k, anon_bytes, "cli");
         k.StartThread(m.manager_thread);
@@ -465,7 +465,7 @@ int Main(int argc, char** argv) {
           std::fprintf(stderr, "fluke_run: %s: %s\n", path.c_str(), r.error.c_str());
           return 1;
         }
-        Thread* t = k.CreateThread(space.get(), r.program);
+        Thread* t = k.CreateThread(space, r.program);
         k.StartThread(t);
         out->push_back(t);
         out_names->push_back(path);
@@ -667,7 +667,7 @@ int Main(int argc, char** argv) {
                  "  engine: %s | %llu instrs | interp: %llu block charges, "
                  "%llu predecodes | jit: %llu compiles, %llu block entries, "
                  "%llu deopts, %llu bytes\n",
-                 InterpEngineName(cfg.EffectiveEngine()),
+                 InterpEngineName(cfg.interp_engine),
                  static_cast<unsigned long long>(s.user_instructions),
                  static_cast<unsigned long long>(s.interp_block_charges),
                  static_cast<unsigned long long>(s.interp_predecodes),
