@@ -482,8 +482,13 @@ void BM_CheckpointCapture(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    CheckpointImage img = CaptureSpace(k, *space);
-    benchmark::DoNotOptimize(img.pages.size());
+    MachineImage img;
+    std::string err;
+    if (!CaptureSpace(k, *space, &img, &err)) {
+      state.SkipWithError(err.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(img.spaces[0].pages.size());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64 * kPageSize);
 }

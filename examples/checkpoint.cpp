@@ -85,9 +85,14 @@ int main() {
   std::printf("output at cut   : \"%s\"\n", k.console.output().c_str());
 
   std::printf("checkpointing   : capturing threads, memory, handle table...\n");
-  CheckpointImage img = CaptureSpace(k, *space);
+  MachineImage img;
+  std::string err;
+  if (!CaptureSpace(k, *space, &img, &err)) {
+    std::printf("REFUSED: %s\n", err.c_str());
+    return 1;
+  }
   std::printf("                  %zu threads, %zu pages, %zu handle slots\n",
-              img.threads.size(), img.pages.size(), img.objects.size());
+              img.threads.size(), img.TotalPages(), img.spaces[0].objects.size());
   for (size_t i = 0; i < img.threads.size(); ++i) {
     std::printf("                  thread %zu: pc=%u entry-reg=%s (%s)\n", i,
                 img.threads[i].state.regs.pc, SysName(img.threads[i].state.regs.gpr[kRegA]),
@@ -97,7 +102,11 @@ int main() {
   std::printf("destroyed       : all threads of the task are dead\n");
 
   std::printf("restoring       : fresh space + threads from the image\n");
-  RestoreResult r = RestoreSpace(k, img, g_registry);
+  const MachineRestoreResult r = RestoreMachine(k, img, g_registry);
+  if (!r.ok) {
+    std::printf("FAILED to restore: %s\n", r.error.c_str());
+    return 1;
+  }
   if (!k.RunUntilQuiescent(60ull * 1000 * kNsPerMs)) {
     std::printf("FAILED: restored task did not finish\n");
     return 1;

@@ -42,28 +42,35 @@ int main() {
   std::printf("machine1 output: \"%s\" (then the task is frozen + shipped)\n",
               machine1.console.output().c_str());
 
-  CheckpointImage image = CaptureSpace(machine1, *space1);
+  MachineImage image;
+  std::string err;
+  if (!CaptureSpace(machine1, *space1, &image, &err)) {
+    std::printf("REFUSED: %s\n", err.c_str());
+    return 1;
+  }
   DestroySpaceThreads(machine1, *space1);
 
   // Ship the frozen task over "the wire": serialize to bytes, validate and
   // decode on the receiving machine.
-  const std::vector<uint8_t> wire = SerializeCheckpoint(image);
+  const std::vector<uint8_t> wire = SerializeMachine(image);
   std::printf("wire image     : %zu bytes (%zu threads, %zu pages)\n", wire.size(),
-              image.threads.size(), image.pages.size());
-  CheckpointImage received;
-  std::string err;
-  if (!DeserializeCheckpoint(wire, &received, &err)) {
+              image.threads.size(), image.TotalPages());
+  MachineImage received;
+  if (!DeserializeImage(wire, &received, &err)) {
     std::printf("FAILED to decode the image: %s\n", err.c_str());
     return 1;
   }
-  image = received;
 
   // Machine 2: a different kernel in a different configuration.
   KernelConfig cfg2;
   cfg2.model = ExecModel::kProcess;  // ...restore on process-model.
   cfg2.preempt = PreemptMode::kFull;
   Kernel machine2(cfg2);
-  RestoreResult r = RestoreSpace(machine2, image, registry);
+  const MachineRestoreResult r = RestoreMachine(machine2, received, registry);
+  if (!r.ok) {
+    std::printf("FAILED to restore: %s\n", r.error.c_str());
+    return 1;
+  }
   if (!machine2.RunUntilQuiescent(60ull * 1000 * kNsPerMs)) {
     std::printf("FAILED: task did not finish on machine 2\n");
     return 1;

@@ -89,6 +89,10 @@ void Kernel::RunLoop(Time until) {
       if (ckpt_ != nullptr) {
         CkptDrainTick();
       }
+      if (!InstrumentationLive()) {
+        RunLoop<false>(until);  // the drain finished and nothing else is armed
+        return;
+      }
     }
     RunDueTimers();
     if (irqs.AnyPending()) {
@@ -398,9 +402,9 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
     // Tracing alone does not forfeit the fast path: the handlers emit the
     // same chunk/handoff/flow events the engine route would (ipc.cc), and
     // the sys span opened above is closed or parked here exactly as
-    // HandleOpOutcomeT would have. A fault plan or checkpoint session still
-    // forces the coroutine route -- its hook points (finj.Note, save-on-
-    // write) have no fast-path twins.
+    // HandleOpOutcomeT would have. A fault plan or an undrained checkpoint
+    // session still forces the coroutine route -- its hook points
+    // (finj.Note, save-on-write) have no fast-path twins.
     if (cfg.fast_path && def->fast != nullptr && TraceOnlyInstrumentation() &&
         def->fast(*this, t, *def)) {
       if (t->run_state == ThreadRun::kBlocked) {

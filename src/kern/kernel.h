@@ -378,23 +378,24 @@ class Kernel {
   void UncountBlockedBytes(Thread* t);
 
   // True while any hot-path instrumentation must fire (an armed fault
-  // injector, an enabled trace buffer, or an in-progress concurrent
-  // checkpoint drain). Run() checks this once and selects the
-  // Instrumented=false dispatch loop otherwise, whose compiled body
-  // contains no hook code at all -- the zero-cost-when-disarmed rule
-  // (DESIGN.md).
+  // injector, an enabled trace buffer, or a concurrent checkpoint still
+  // owed pages). Run() checks this once and selects the Instrumented=false
+  // dispatch loop otherwise, whose compiled body contains no hook code at
+  // all -- the zero-cost-when-disarmed rule (DESIGN.md). A session whose
+  // drain is done marks no page, so it no longer counts, whether or not the
+  // host has called Finish() yet.
   bool InstrumentationLive() const {
-    return finj.armed() || trace.enabled() || ckpt_ != nullptr;
+    return finj.armed() || trace.enabled() || CkptDraining();
   }
 
   // True when tracing is the ONLY live instrumentation. The fast-path
   // handlers carry their own span/flow hooks, so a trace-only run keeps the
   // direct-handoff and trivial-completion fast paths (the binary trace's
   // leave-it-armed cost target depends on this); an armed fault injector or
-  // checkpoint session still forces the coroutine slow path, whose hook
-  // points the fast handlers do not replicate.
+  // an undrained checkpoint session still forces the coroutine slow path,
+  // whose hook points the fast handlers do not replicate.
   bool TraceOnlyInstrumentation() const {
-    return trace.enabled() && !finj.armed() && ckpt_ == nullptr;
+    return trace.enabled() && !finj.armed() && !CkptDraining();
   }
 
   // --- Concurrent checkpointing (src/kern/ckpt.h; workloads/checkpoint.*
@@ -405,12 +406,13 @@ class Kernel {
   void CkptAttachSession(CkptSession* s) { ckpt_ = s; }
   void CkptDetachSession() { ckpt_ = nullptr; }
   CkptSession* ckpt_session() const { return ckpt_; }
+  bool CkptDraining() const { return ckpt_ != nullptr && !ckpt_->done(); }
   // Copies up to `batch` owed pages into the session (host-side: no virtual
   // time, no simulated frames). Called from the dispatch loop and by hosts
   // that want to finish a capture synchronously (CkptDrainAll).
   void CkptDrainTick(size_t batch = 8);
   void CkptDrainAll() {
-    while (ckpt_ != nullptr && !ckpt_->done()) {
+    while (CkptDraining()) {
       CkptDrainTick(256);
     }
   }

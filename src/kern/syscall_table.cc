@@ -145,9 +145,9 @@ std::vector<SyscallDef> BuildTable() {
 
   // Fast-path wiring (dispatch.cc consults `fast` when instrumentation is
   // disarmed or trace-only -- Kernel::TraceOnlyInstrumentation; the injector
-  // and checkpointer are the slow-path forcers): every trivial syscall
-  // completes through FastTrivial; the
-  // six reliable-IPC send entrypoints may take the direct-handoff path.
+  // and an undrained checkpoint are the slow-path forcers): every trivial
+  // syscall completes through FastTrivial; the six reliable-IPC send
+  // entrypoints may take the direct-handoff path.
   for (auto& d : defs) {
     if (d.cat == SysCat::kTrivial) {
       d.fast = FastTrivial;

@@ -12,206 +12,6 @@
 
 namespace fluke {
 
-CheckpointImage CaptureSpace(Kernel& k, Space& space) {
-  k.trace.Record(k.clock.now(), TraceKind::kCheckpoint, 0,
-                 static_cast<uint32_t>(space.id()), 0);
-  CheckpointImage img;
-  img.space_name = space.name();
-  img.program_name = space.program != nullptr ? space.program->name() : "";
-  img.anon_base = space.anon_base();
-  img.anon_size = space.anon_size();
-
-  // Stop every thread. A blocked thread rolls back transparently to its
-  // committed restart point; a runnable/running thread is parked. After
-  // this, every thread's registers are its complete state.
-  for (Thread* t : space.threads) {
-    if (t->run_state == ThreadRun::kDead) {
-      continue;
-    }
-    const bool was_active = t->run_state == ThreadRun::kRunnable ||
-                            t->run_state == ThreadRun::kBlocked ||
-                            t->run_state == ThreadRun::kRunning;
-    k.StopThread(t);
-    CheckpointImage::ThreadImage ti;
-    ThreadState st;
-    const bool ok = k.GetThreadState(t, &st);
-    assert(ok && "state extraction must be prompt");
-    (void)ok;
-    ti.state = st;
-    ti.program_name = t->program != nullptr ? t->program->name() : "";
-    ti.was_runnable = was_active;
-    img.threads.push_back(ti);
-  }
-
-  // Memory: every mapped page, sorted for determinism. Pages are read
-  // through the span-translation path (one TLB-backed translation + one
-  // memcpy per page), the same fast path the IPC bulk copy uses.
-  for (const auto& [page, pte] : space.page_table()) {
-    CheckpointImage::PageImage pi;
-    pi.vaddr = page << kPageShift;
-    pi.prot = pte.prot;
-    pi.data.resize(kPageSize);
-    const Span s = space.TranslateSpan(pi.vaddr, kPageSize, kProtNone);
-    assert(s.len == kPageSize);
-    std::memcpy(pi.data.data(), s.ptr, s.len);
-    img.pages.push_back(std::move(pi));
-  }
-  std::sort(img.pages.begin(), img.pages.end(),
-            [](const auto& a, const auto& b) { return a.vaddr < b.vaddr; });
-
-  // Handle table, slot order (slot 0 is the invalid sentinel).
-  const auto& handles = space.handle_table();
-  // Thread -> index map for mutex-owner translation.
-  auto thread_index = [&](uint64_t tid) -> int {
-    int i = 0;
-    for (Thread* t : space.threads) {
-      if (t->run_state == ThreadRun::kDead) {
-        continue;
-      }
-      if (t->id() == tid) {
-        return i;
-      }
-      ++i;
-    }
-    return -1;
-  };
-  for (size_t slot = 1; slot < handles.size(); ++slot) {
-    CheckpointImage::ObjImage oi;
-    const KernelObject* o = handles[slot];
-    if (o != nullptr && o->alive()) {
-      switch (o->type()) {
-        case ObjType::kMutex: {
-          const auto* m = static_cast<const Mutex*>(o);
-          oi.kind = CheckpointImage::ObjKind::kMutex;
-          oi.mutex_locked = m->locked;
-          oi.mutex_owner_thread = m->locked ? thread_index(m->owner_tid) : -1;
-          break;
-        }
-        case ObjType::kCond:
-          oi.kind = CheckpointImage::ObjKind::kCond;
-          break;
-        case ObjType::kSpace:
-          if (o == &space && space.self_handle == slot) {
-            oi.kind = CheckpointImage::ObjKind::kSpaceSelf;
-          }
-          break;
-        case ObjType::kThread: {
-          const auto* t = static_cast<const Thread*>(o);
-          if (t->space == &space && t->self_handle == slot &&
-              t->run_state != ThreadRun::kDead) {
-            oi.kind = CheckpointImage::ObjKind::kThreadSelf;
-            oi.thread_index = thread_index(t->id());
-          }
-          break;
-        }
-        default:
-          break;  // recorded as kEmpty
-      }
-    }
-    img.objects.push_back(oi);
-  }
-  return img;
-}
-
-RestoreResult RestoreSpace(Kernel& k, const CheckpointImage& img,
-                           const ProgramRegistry& programs, bool start) {
-  RestoreResult r;
-  auto fail = [&r](std::string why) {
-    r.ok = false;
-    r.error = std::move(why);
-    return r;
-  };
-  r.space = k.CreateSpace(img.space_name);
-  k.trace.Record(k.clock.now(), TraceKind::kCheckpoint, 0,
-                 static_cast<uint32_t>(r.space->id()), 1);
-  r.space->SetAnonRange(img.anon_base, img.anon_size);
-  r.space->program = img.program_name.empty() ? nullptr : programs.Find(img.program_name);
-
-  // Memory first (threads may be blocked mid-operation on it). Frame
-  // allocation may fail transiently (injected exhaustion, a scavenger
-  // catching up); retry a bounded number of times, then give up cleanly.
-  for (const auto& pi : img.pages) {
-    FrameId f = kInvalidFrame;
-    for (uint32_t tries = 0; f == kInvalidFrame && tries <= kOomRetryLimit; ++tries) {
-      if (tries != 0) {
-        ++k.stats.oom_backoffs;
-        k.Charge(k.costs.oom_backoff);
-      }
-      f = r.space->ProvidePage(pi.vaddr, pi.prot);
-    }
-    if (f == kInvalidFrame) {
-      return fail("out of frames restoring page");
-    }
-    std::memcpy(k.phys.Data(f), pi.data.data(), kPageSize);
-  }
-
-  // Recreate the handle table strictly in slot order, so every handle
-  // immediate baked into the program remains valid. CreateSpace already
-  // filled the space-self slot; the image's slot 1 must agree.
-  if (img.objects.empty() ||
-      img.objects[0].kind != CheckpointImage::ObjKind::kSpaceSelf) {
-    return fail("image slot 1 is not the space-self slot");
-  }
-  r.threads.resize(img.threads.size(), nullptr);
-  // Deferred mutex-owner fixups (the owner thread's slot may come later).
-  std::vector<std::pair<Mutex*, int>> owner_fixups;
-  for (size_t i = 1; i < img.objects.size(); ++i) {
-    const auto& oi = img.objects[i];
-    switch (oi.kind) {
-      case CheckpointImage::ObjKind::kSpaceSelf:
-        return fail("duplicate space-self slot");
-      case CheckpointImage::ObjKind::kThreadSelf: {
-        if (oi.thread_index < 0 ||
-            static_cast<size_t>(oi.thread_index) >= img.threads.size() ||
-            r.threads[oi.thread_index] != nullptr) {
-          return fail("thread-self slot references a missing or duplicate thread");
-        }
-        const auto& ti = img.threads[oi.thread_index];
-        ProgramRef prog =
-            ti.program_name.empty() ? nullptr : programs.Find(ti.program_name);
-        Thread* t = k.CreateThread(r.space, prog);  // installs the self slot
-        if (t->self_handle != i + 1) {
-          return fail("handle-slot drift while restoring threads");
-        }
-        if (!k.SetThreadState(t, ti.state)) {
-          return fail("restored thread rejected its state");
-        }
-        r.threads[oi.thread_index] = t;
-        break;
-      }
-      case CheckpointImage::ObjKind::kMutex: {
-        Mutex* m = k.NewMutex();
-        m->locked = oi.mutex_locked;
-        k.Install(r.space, m);
-        if (oi.mutex_locked && oi.mutex_owner_thread >= 0) {
-          owner_fixups.emplace_back(m, oi.mutex_owner_thread);
-        }
-        break;
-      }
-      case CheckpointImage::ObjKind::kCond:
-        k.Install(r.space, k.NewCond());
-        break;
-      case CheckpointImage::ObjKind::kEmpty:
-        k.Install(r.space, k.NewReference(nullptr));
-        break;
-    }
-  }
-  for (auto& [m, idx] : owner_fixups) {
-    if (static_cast<size_t>(idx) < r.threads.size() && r.threads[idx] != nullptr) {
-      m->owner_tid = r.threads[idx]->id();
-    }
-  }
-
-  if (start) {
-    for (size_t i = 0; i < r.threads.size(); ++i) {
-      if (r.threads[i] != nullptr && img.threads[i].was_runnable) {
-        k.ResumeThread(r.threads[i]);
-      }
-    }
-  }
-  return r;
-}
-
 void DestroySpaceThreads(Kernel& k, Space& space) {
   for (Thread* t : space.threads) {
     k.DestroyThread(t);
@@ -509,7 +309,7 @@ MachineImage ConcurrentCkpt::Finish() {
     CkptSpaceCapture& sc = session_.spaces[i];
     for (CkptPage& rec : sc.pages) {
       assert(rec.captured);
-      CheckpointImage::PageImage pi;
+      MachineImage::PageImage pi;
       pi.vaddr = rec.pagenum << kPageShift;
       pi.prot = rec.prot;
       pi.data = std::move(rec.data);
@@ -549,6 +349,34 @@ bool CaptureMachine(Kernel& k, bool delta, MachineImage* out, std::string* error
   }
   k.CkptDrainAll();
   *out = c.Finish();
+  return true;
+}
+
+bool CaptureSpace(Kernel& k, Space& space, MachineImage* out, std::string* error) {
+  *out = MachineImage{};
+  if (!CaptureMachineMeta(k, {&space}, out, error)) {
+    *out = MachineImage{};
+    return false;
+  }
+  k.trace.Record(k.clock.now(), TraceKind::kCheckpoint, 0,
+                 static_cast<uint32_t>(space.id()), 0);
+  // Stop every thread. A blocked thread rolls back transparently to its
+  // committed restart point -- the registers the metadata already holds.
+  for (Thread* t : space.threads) {
+    if (t->run_state != ThreadRun::kDead) {
+      k.StopThread(t);
+    }
+  }
+  // Memory: every resident page, read through the span-translation path
+  // (one TLB-backed translation + one copy per page), the same fast path
+  // the IPC bulk copy uses.
+  MachineImage::SpaceImage& sp = out->spaces.front();
+  sp.pages.reserve(sp.resident.size());
+  for (const MachineImage::ResidentPage& rp : sp.resident) {
+    const Span s = space.TranslateSpan(rp.vaddr, kPageSize, kProtNone);
+    assert(s.len == kPageSize);
+    sp.pages.push_back({rp.vaddr, rp.prot, std::vector<uint8_t>(s.ptr, s.ptr + s.len)});
+  }
   return true;
 }
 
@@ -615,9 +443,9 @@ MachineRestoreResult RestoreMachine(Kernel& k, const MachineImage& img,
     space->program = sp.program_name.empty() ? nullptr : programs.Find(sp.program_name);
     r.spaces.push_back(space);
 
-    // Memory first (threads may be blocked mid-operation on it), with the
-    // same bounded retry against transient frame exhaustion RestoreSpace
-    // uses.
+    // Memory first (threads may be blocked mid-operation on it). Frame
+    // allocation may fail transiently (injected exhaustion, a scavenger
+    // catching up); retry a bounded number of times, then give up cleanly.
     for (const auto& pi : sp.pages) {
       if (pi.data.size() != kPageSize) {
         return fail("page image with a bad size");
@@ -813,18 +641,18 @@ bool MergeImageChain(std::vector<MachineImage> chain, MachineImage* out, std::st
       if (!seen.insert(s.name).second) {
         return duplicate(s.name);
       }
-      std::unordered_map<uint32_t, CheckpointImage::PageImage*> have;
+      std::unordered_map<uint32_t, MachineImage::PageImage*> have;
       for (auto& p : s.pages) {
         have.emplace(p.vaddr, &p);
       }
-      std::unordered_map<uint32_t, CheckpointImage::PageImage*> older;
+      std::unordered_map<uint32_t, MachineImage::PageImage*> older;
       auto pit = prev.find(s.name);
       if (pit != prev.end()) {
         for (auto& p : pit->second->pages) {
           older.emplace(p.vaddr, &p);
         }
       }
-      std::vector<CheckpointImage::PageImage> full;
+      std::vector<MachineImage::PageImage> full;
       full.reserve(s.resident.size());
       for (const auto& rp : s.resident) {
         auto hit = have.find(rp.vaddr);

@@ -8,12 +8,16 @@
 // (possibly on another kernel: migration), and the result is
 // indistinguishable from the original.
 //
-// Scope: a checkpoint captures one Space -- its threads (full register
-// state + priority), its memory pages, its anonymous range, and the
-// synchronization objects (mutexes, conds) in its handle table, preserving
-// handle numbering so baked-in program immediates stay valid. Live IPC
-// connections are not captured (the real Fluke checkpointer quiesces or
-// reconstructs connections through user-level protocols; see DESIGN.md).
+// One image format serves a single task and a whole machine: a task
+// checkpoint (CaptureSpace) is a one-space MachineImage, restored like any
+// other by RestoreMachine. It carries the space's threads (full register
+// state + priority), memory pages, anonymous range, and the objects in its
+// handle table -- mutexes, conds, and ports it holds or references, which
+// restore as new ports -- preserving handle numbering so baked-in program
+// immediates stay valid. A task whose thread holds a live IPC connection to
+// a thread in another space is refused (the real Fluke checkpointer
+// quiesces or reconstructs connections through user-level protocols; see
+// DESIGN.md).
 
 #ifndef SRC_WORKLOADS_CHECKPOINT_H_
 #define SRC_WORKLOADS_CHECKPOINT_H_
@@ -27,71 +31,13 @@
 
 namespace fluke {
 
-struct CheckpointImage {
-  std::string space_name;
-  std::string program_name;
-  uint32_t anon_base = 0;
-  uint32_t anon_size = 0;
-
-  struct PageImage {
-    uint32_t vaddr = 0;
-    uint32_t prot = 0;
-    std::vector<uint8_t> data;  // kPageSize bytes
-  };
-  std::vector<PageImage> pages;
-
-  struct ThreadImage {
-    ThreadState state;
-    std::string program_name;   // resolved through the registry at restore
-    bool was_runnable = false;  // runnable or blocked (vs stopped/embryo)
-  };
-  std::vector<ThreadImage> threads;
-
-  // Handle-table entries, in slot order (slot = index + 1). Restore
-  // recreates slots strictly in order so every baked-in handle immediate in
-  // the program stays valid. Slots the checkpointer does not understand are
-  // recorded as kEmpty and padded with empty References.
-  enum class ObjKind : int { kEmpty = 0, kSpaceSelf, kThreadSelf, kMutex, kCond };
-  struct ObjImage {
-    ObjKind kind = ObjKind::kEmpty;
-    int thread_index = -1;  // kThreadSelf: index into `threads`
-    bool mutex_locked = false;
-    int mutex_owner_thread = -1;  // index into `threads`, or -1
-  };
-  std::vector<ObjImage> objects;
-};
-
-// Captures `space` from `k`. Threads are stopped first (transparent
-// rollback: their registers are committed restart points) and left stopped;
-// call only when no thread of the space holds a live IPC connection.
-CheckpointImage CaptureSpace(Kernel& k, Space& space);
-
-// Recreates the image in `k` (which may be a different kernel -- migration).
-// Programs are resolved by name through `programs`. Threads are created
-// stopped; `start` resumes those that were runnable.
-//
-// A malformed image (one DeserializeCheckpoint would reject) or frame
-// exhaustion that persists past a bounded retry surfaces as ok=false with
-// `error` set -- never an abort. On failure the partially-restored space is
-// left in `k` but no thread of it has been started.
-struct RestoreResult {
-  bool ok = true;
-  std::string error;
-  Space* space = nullptr;
-  std::vector<Thread*> threads;
-};
-RestoreResult RestoreSpace(Kernel& k, const CheckpointImage& img,
-                           const ProgramRegistry& programs, bool start = true);
-
-// Convenience: destroys every thread of `space` (after capture).
-void DestroySpaceThreads(Kernel& k, Space& space);
-
 // ---------------------------------------------------------------------------
-// Machine-wide images (PR 8: incremental concurrent checkpointing).
+// Machine images and incremental concurrent checkpointing.
 //
-// A MachineImage captures the whole machine -- every space, every thread
-// (with its live IPC-connection TCB fields), and the IPC objects (ports,
-// portsets, references) the rpc/c1m workloads wire across spaces. It comes
+// A MachineImage captures a machine -- every live space (CaptureMachine) or
+// one task (CaptureSpace), with every captured thread (and its live
+// IPC-connection TCB fields) and the IPC objects (ports, portsets,
+// references) the rpc/c1m workloads wire across spaces. It comes
 // in two flavors: full (base_generation == 0, data for every resident page)
 // and delta (data only for pages dirtied since the parent image, chained by
 // generation number and parent digest -- see workloads/restart_log.h for
@@ -133,6 +79,11 @@ struct MachineImage {
     uint32_t vaddr = 0;
     uint32_t prot = 0;
   };
+  struct PageImage {
+    uint32_t vaddr = 0;
+    uint32_t prot = 0;
+    std::vector<uint8_t> data;  // kPageSize bytes
+  };
   struct SpaceImage {
     std::string name;
     std::string program_name;
@@ -141,8 +92,8 @@ struct MachineImage {
     // Every page mapped at the capture instant (delta images need the full
     // directory to represent unmaps; for a full image this equals `pages`).
     std::vector<ResidentPage> resident;
-    std::vector<CheckpointImage::PageImage> pages;  // data-carrying pages
-    std::vector<ObjImage> objects;                  // handle slots, in order
+    std::vector<PageImage> pages;   // data-carrying pages
+    std::vector<ObjImage> objects;  // handle slots, in order
   };
   std::vector<SpaceImage> spaces;
 
@@ -218,8 +169,24 @@ class ConcurrentCkpt {
 // checkpointer's correctness witness (tests/ckpt_concurrent_test.cc).
 bool CaptureMachine(Kernel& k, bool delta, MachineImage* out, std::string* error);
 
-// Restores a full (merged) machine image into `k`, which must be freshly
-// booted. Structured errors, never asserts; on failure partially-restored
+// Captures `space` from `k` as a one-space full MachineImage, refusing with
+// `error` set -- and nothing stopped -- what CaptureMachine would refuse for
+// that space alone (a live IPC connection to another space included). On
+// success the space's threads are stopped (transparent rollback: their
+// registers are committed restart points) and left stopped. Opens no
+// concurrent-capture session: the image is byte-identical to CaptureMachine's
+// of a machine holding just this space, and moves no ckpt_* counter.
+bool CaptureSpace(Kernel& k, Space& space, MachineImage* out, std::string* error);
+
+// Convenience: destroys every thread of `space` (after capture).
+void DestroySpaceThreads(Kernel& k, Space& space);
+
+// Restores a full (merged) machine image into `k`, a fresh kernel or a
+// running one (a task restored beside live spaces), with every object new
+// and handle numbering preserved per space. Programs are resolved by name
+// through `programs`; threads are created stopped and `start` resumes those
+// that were runnable. A clock behind the capture instant moves forward to
+// it. Structured errors, never asserts; on failure partially-restored
 // objects remain but no thread has been started.
 struct MachineRestoreResult {
   bool ok = true;

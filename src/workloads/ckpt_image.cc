@@ -30,192 +30,13 @@ bool GetThreadState(Reader& r, ThreadState* s) {
   return true;
 }
 
-// The v2 stream. The CRC trailer guards the whole stream: structural fields
-// AND page contents, which the parser's bounds checks alone cannot vouch for.
-template <class W>
-void EmitCheckpoint(const CheckpointImage& img, W& w) {
-  w.U32(kCkptMagic);
-  w.U32(kCkptVersion);
-  w.Str(img.space_name);
-  w.Str(img.program_name);
-  w.U32(img.anon_base);
-  w.U32(img.anon_size);
-
-  w.U32(static_cast<uint32_t>(img.threads.size()));
-  for (const auto& t : img.threads) {
-    PutThreadState(w, t.state);
-    w.Str(t.program_name);
-    w.U32(t.was_runnable ? 1 : 0);
-  }
-
-  w.U32(static_cast<uint32_t>(img.pages.size()));
-  for (const auto& p : img.pages) {
-    w.U32(p.vaddr);
-    w.U32(p.prot);
-    w.Bytes(p.data.data(), p.data.size());
-  }
-
-  w.U32(static_cast<uint32_t>(img.objects.size()));
-  for (const auto& o : img.objects) {
-    w.U32(static_cast<uint32_t>(o.kind));
-    w.U32(static_cast<uint32_t>(o.thread_index));
-    w.U32(o.mutex_locked ? 1 : 0);
-    w.U32(static_cast<uint32_t>(o.mutex_owner_thread));
-  }
-  w.Crc32Since(0);
-}
-
-}  // namespace
-
-std::vector<uint8_t> SerializeCheckpoint(const CheckpointImage& img) {
-  return wire::Encode([&img](auto& w) { EmitCheckpoint(img, w); });
-}
-
-bool DeserializeCheckpoint(const std::vector<uint8_t>& bytes, CheckpointImage* out,
-                           std::string* error) {
-  *out = CheckpointImage{};
-  Reader r(bytes, error);
-  uint32_t magic = 0, version = 0;
-  if (!r.U32(&magic) || !r.U32(&version)) {
-    return false;
-  }
-  if (magic != kCkptMagic) {
-    return r.Fail("bad magic");
-  }
-  if (version != kCkptVersion) {
-    return r.Fail("unsupported version");
-  }
-  if (!r.Str(&out->space_name) || !r.Str(&out->program_name) || !r.U32(&out->anon_base) ||
-      !r.U32(&out->anon_size)) {
-    return false;
-  }
-  if ((out->anon_base & kPageMask) != 0 || (out->anon_size & kPageMask) != 0) {
-    return r.Fail("unaligned anonymous range");
-  }
-
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > 100000) {
-    return r.Fail("bad thread count");
-  }
-  out->threads.resize(n);
-  for (auto& t : out->threads) {
-    uint32_t runnable = 0;
-    if (!GetThreadState(r, &t.state) || !r.Str(&t.program_name) || !r.U32(&runnable)) {
-      return false;
-    }
-    t.was_runnable = runnable != 0;
-  }
-
-  if (!r.U32(&n) || n > (1u << 20)) {
-    return r.Fail("bad page count");
-  }
-  out->pages.resize(n);
-  for (size_t i = 0; i < out->pages.size(); ++i) {
-    auto& p = out->pages[i];
-    if (!r.U32(&p.vaddr) || !r.U32(&p.prot) || !r.Bytes(&p.data, kPageSize)) {
-      return false;
-    }
-    if ((p.vaddr & kPageMask) != 0) {
-      return r.Fail("unaligned page address");
-    }
-    // Strictly increasing: catches duplicates (which would double-provide a
-    // page at restore) and keeps restored layouts deterministic.
-    if (i > 0 && p.vaddr <= out->pages[i - 1].vaddr) {
-      return r.Fail("pages out of order");
-    }
-  }
-
-  if (!r.U32(&n) || n > 100000) {
-    return r.Fail("bad object count");
-  }
-  out->objects.resize(n);
-  for (auto& o : out->objects) {
-    uint32_t kind = 0, tidx = 0, locked = 0, owner = 0;
-    if (!r.U32(&kind) || !r.U32(&tidx) || !r.U32(&locked) || !r.U32(&owner)) {
-      return false;
-    }
-    if (kind > static_cast<uint32_t>(CheckpointImage::ObjKind::kCond)) {
-      return r.Fail("bad object kind");
-    }
-    o.kind = static_cast<CheckpointImage::ObjKind>(kind);
-    o.thread_index = static_cast<int>(tidx);
-    o.mutex_locked = locked != 0;
-    o.mutex_owner_thread = static_cast<int>(owner);
-  }
-
-  // CRC trailer: everything before it must hash to it. Verified after the
-  // structural parse (which is robust on its own) so magic/version/layout
-  // errors report specifically, but before the image is handed to a caller.
-  const size_t payload_end = r.pos();
-  uint32_t crc_stored = 0;
-  if (!r.U32(&crc_stored)) {
-    return false;
-  }
-  if (!r.AtEnd()) {
-    return r.Fail("trailing bytes");
-  }
-  if (wire::Crc32(bytes.data(), payload_end) != crc_stored) {
-    return r.Fail("checksum mismatch");
-  }
-
-  // Cross-checks the restorer relies on (RestoreSpace re-verifies and takes
-  // an error return, but a well-formed stream never trips them).
-  std::vector<bool> thread_claimed(out->threads.size(), false);
-  for (size_t i = 0; i < out->objects.size(); ++i) {
-    const auto& o = out->objects[i];
-    switch (o.kind) {
-      case CheckpointImage::ObjKind::kSpaceSelf:
-        if (i != 0) {
-          return r.Fail("space-self outside slot 1");
-        }
-        break;
-      case CheckpointImage::ObjKind::kThreadSelf:
-        if (o.thread_index < 0 ||
-            static_cast<size_t>(o.thread_index) >= out->threads.size()) {
-          return r.Fail("thread-self slot references a missing thread");
-        }
-        if (thread_claimed[static_cast<size_t>(o.thread_index)]) {
-          return r.Fail("two slots claim one thread");
-        }
-        thread_claimed[static_cast<size_t>(o.thread_index)] = true;
-        break;
-      case CheckpointImage::ObjKind::kMutex:
-        if (o.mutex_locked && o.mutex_owner_thread != -1 &&
-            (o.mutex_owner_thread < 0 ||
-             static_cast<size_t>(o.mutex_owner_thread) >= out->threads.size())) {
-          return r.Fail("mutex owner out of range");
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  if (!out->objects.empty() &&
-      out->objects[0].kind != CheckpointImage::ObjKind::kSpaceSelf) {
-    return r.Fail("slot 1 is not the space-self slot");
-  }
-  if (!out->threads.empty() &&
-      (out->objects.empty() ||
-       std::find(thread_claimed.begin(), thread_claimed.end(), false) !=
-           thread_claimed.end())) {
-    return r.Fail("thread without a self slot");
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// v3: machine-wide images with delta chaining (PR 8).
-// ---------------------------------------------------------------------------
-
-namespace {
-
 // Page data travels in chunks of this many pages, each followed by a CRC32
 // over the chunk's serialized bytes. The whole-stream trailer already
 // rejects any corruption; the per-chunk CRCs localize it, so a loader (or a
 // future partial-fetch transport) can name the damaged extent.
 constexpr uint32_t kPagesPerChunk = 64;
 
-// The v3 stream: header, metadata sections, then each space's pages in
+// The stream: header, metadata sections, then each space's pages in
 // chunks, each chunk followed by its CRC, then the whole-stream CRC.
 template <class W>
 void EmitMachine(const MachineImage& img, W& w) {
@@ -307,87 +128,21 @@ std::vector<uint8_t> SerializeMachine(const MachineImage& img) {
   return wire::Encode([&img](auto& w) { EmitMachine(img, w); });
 }
 
-namespace {
-
-// Wraps a legacy v2 single-space image as a one-space full machine image.
-bool WrapV2AsMachine(const CheckpointImage& v2, MachineImage* out, std::string* error) {
-  MachineImage m;
-  MachineImage::SpaceImage sp;
-  sp.name = v2.space_name;
-  sp.program_name = v2.program_name;
-  sp.anon_base = v2.anon_base;
-  sp.anon_size = v2.anon_size;
-  for (const auto& p : v2.pages) {
-    sp.resident.push_back({p.vaddr, p.prot});
-  }
-  sp.pages = v2.pages;
-  for (const auto& o : v2.objects) {
-    MachineImage::ObjImage oi;
-    switch (o.kind) {
-      case CheckpointImage::ObjKind::kEmpty:
-        oi.kind = MachineImage::ObjKind::kEmpty;
-        break;
-      case CheckpointImage::ObjKind::kSpaceSelf:
-        oi.kind = MachineImage::ObjKind::kSpaceSelf;
-        break;
-      case CheckpointImage::ObjKind::kThreadSelf:
-        oi.kind = MachineImage::ObjKind::kThreadSelf;
-        oi.index = o.thread_index;
-        break;
-      case CheckpointImage::ObjKind::kMutex:
-        oi.kind = MachineImage::ObjKind::kMutex;
-        oi.mutex_locked = o.mutex_locked;
-        oi.mutex_owner_thread = o.mutex_owner_thread;
-        break;
-      case CheckpointImage::ObjKind::kCond:
-        oi.kind = MachineImage::ObjKind::kCond;
-        break;
-    }
-    sp.objects.push_back(oi);
-  }
-  for (const auto& t : v2.threads) {
-    MachineImage::ThreadImage ti;
-    ti.space_index = 0;
-    ti.state = t.state;
-    ti.program_name = t.program_name;
-    ti.was_runnable = t.was_runnable;
-    m.threads.push_back(std::move(ti));
-  }
-  m.spaces.push_back(std::move(sp));
-  *out = std::move(m);
-  (void)error;
-  return true;
-}
-
-}  // namespace
-
 bool DeserializeImage(const std::vector<uint8_t>& bytes, MachineImage* out,
                       std::string* error) {
   *out = MachineImage{};
-  {
-    Reader peek(bytes, error);
-    uint32_t magic = 0, version = 0;
-    if (!peek.U32(&magic) || !peek.U32(&version)) {
-      return false;
-    }
-    if (magic != kCkptMagic) {
-      return peek.Fail("bad magic");
-    }
-    if (version == kCkptVersion) {
-      CheckpointImage v2;
-      if (!DeserializeCheckpoint(bytes, &v2, error)) {
-        return false;
-      }
-      return WrapV2AsMachine(v2, out, error);
-    }
-    if (version != kCkptVersion3) {
-      return peek.Fail("unsupported version");
-    }
-  }
-
   Reader r(bytes, error);
   uint32_t magic = 0, version = 0, flags = 0;
-  if (!r.U32(&magic) || !r.U32(&version) || !r.U32(&flags)) {
+  if (!r.U32(&magic) || !r.U32(&version)) {
+    return false;
+  }
+  if (magic != kCkptMagic) {
+    return r.Fail("bad magic");
+  }
+  if (version != kCkptVersion3) {
+    return r.Fail("unsupported version");
+  }
+  if (!r.U32(&flags)) {
     return false;
   }
   if (flags > 1) {

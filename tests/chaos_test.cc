@@ -266,7 +266,7 @@ TEST_P(ChaosTest, ConnectFaultsSurfaceAsNoMemoryAndRetrySucceeds) {
 
 TEST_P(ChaosTest, RestoreRetriesInjectedFrameExhaustion) {
   // Checkpoint a space under a clean kernel, then restore it into a kernel
-  // whose frame allocator fails intermittently: RestoreSpace's bounded
+  // whose frame allocator fails intermittently: RestoreMachine's bounded
   // retry must absorb the faults and the image must land intact.
   KernelConfig clean = GetParam();
   SimpleWorld w(clean);
@@ -283,18 +283,20 @@ TEST_P(ChaosTest, RestoreRetriesInjectedFrameExhaustion) {
   }
   w.Spawn(registry.Find("fill"));
   w.RunAll();
-  const CheckpointImage img = CaptureSpace(w.kernel, *w.space);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureSpace(w.kernel, *w.space, &img, &err)) << err;
 
   KernelConfig faulty = GetParam();
   faulty.fault_plan.enabled = true;
   faulty.fault_plan.fail_frame_every = 2;  // every 2nd frame alloc fails
   Kernel k2(faulty);
   k2.finj.Arm();  // armed BEFORE restore: the restore path itself is under fire
-  RestoreResult r = RestoreSpace(k2, img, registry, /*start=*/false);
+  const MachineRestoreResult r = RestoreMachine(k2, img, registry, /*start=*/false);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(k2.stats.oom_backoffs, 0u);
   uint32_t v = 0;
-  ASSERT_TRUE(r.space->HostRead(SimpleWorld::kAnonBase + kPageSize, &v, 4));
+  ASSERT_TRUE(r.spaces[0]->HostRead(SimpleWorld::kAnonBase + kPageSize, &v, 4));
   EXPECT_EQ(v, 0xAB12u);
 }
 
@@ -343,8 +345,10 @@ TEST_P(ChaosTest, CrashAtBoundaryThenRestoreConverges) {
 
   // Victim: checkpoint at t0, then crash at an injected boundary.
   auto [vk, vspace] = build_world(GetParam());
-  const std::vector<uint8_t> image_bytes =
-      SerializeCheckpoint(CaptureSpace(*vk, *vspace));
+  MachineImage snapshot;
+  std::string err;
+  ASSERT_TRUE(CaptureSpace(*vk, *vspace, &snapshot, &err)) << err;
+  const std::vector<uint8_t> image_bytes = SerializeMachine(snapshot);
   // CaptureSpace stopped the thread; resume and run into the crash.
   for (const auto& t : vk->threads()) {
     vk->ResumeThread(t);
@@ -363,16 +367,15 @@ TEST_P(ChaosTest, CrashAtBoundaryThenRestoreConverges) {
 
   // Recovery: parse the image (CRC-checked) into a fresh kernel; the job
   // re-runs from the checkpoint and converges to the golden final state.
-  CheckpointImage img;
-  std::string err;
-  ASSERT_TRUE(DeserializeCheckpoint(image_bytes, &img, &err)) << err;
+  MachineImage img;
+  ASSERT_TRUE(DeserializeImage(image_bytes, &img, &err)) << err;
   Kernel rk(GetParam(), &registry);
-  RestoreResult rr = RestoreSpace(rk, img, registry);
+  const MachineRestoreResult rr = RestoreMachine(rk, img, registry);
   ASSERT_TRUE(rr.ok) << rr.error;
   ASSERT_TRUE(rk.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
   EXPECT_EQ(rk.threads().back()->exit_code, golden_exit);
   uint32_t word = 0;
-  ASSERT_TRUE(rr.space->HostRead(SimpleWorld::kAnonBase, &word, 4));
+  ASSERT_TRUE(rr.spaces[0]->HostRead(SimpleWorld::kAnonBase, &word, 4));
   EXPECT_EQ(word, golden_word);
 }
 

@@ -17,7 +17,7 @@
 //     generation and the replay converges to the reference final state;
 //   * any single corrupted byte in any generation of a delta chain yields a
 //     clean structured error or a correct fallback, never divergence;
-//   * v2 single-space images still load through DeserializeImage.
+//   * a finished drain hands the run back to the fast paths before Finish().
 //
 // Machine-level suites run across the five paper configurations under both
 // interpreter engines.
@@ -364,6 +364,43 @@ TEST_P(CkptMachineTest, CheckpointedRunIsUnperturbed) {
   EXPECT_EQ(FinalStateDigest(plain.kernel), FinalStateDigest(ck.kernel));
 }
 
+// A capture whose drain is done marks no page, so it stops forcing the
+// instrumented loop even though the host has not called Finish(): the rest
+// of the run takes the same fast paths as an uncheckpointed twin under the
+// same Run() chunking.
+TEST_P(CkptMachineTest, DrainedCaptureKeepsTheFastPath) {
+  const KernelConfig cfg = GetParam();
+  const Time deadline = 60ull * 1000 * kNsPerMs;
+  const Time t0 = kNsPerMs / 2;
+
+  World plain(cfg);
+  while (!AllDead(plain.all) && plain.kernel.clock.now() < deadline) {
+    plain.kernel.Run(plain.kernel.clock.now() + kSlice);
+  }
+  ASSERT_TRUE(AllDead(plain.all));
+
+  World ck(cfg);
+  ConcurrentCkpt cc;
+  while (!AllDead(ck.all) && ck.kernel.clock.now() < deadline) {
+    if (!cc.active() && ck.kernel.clock.now() >= t0) {
+      std::string err;
+      ASSERT_TRUE(cc.Begin(ck.kernel, /*delta=*/false, &err)) << err;
+      ck.kernel.CkptDrainAll();
+      ASSERT_TRUE(cc.done());
+    }
+    ck.kernel.Run(ck.kernel.clock.now() + kSlice);
+  }
+  ASSERT_TRUE(AllDead(ck.all));
+  ASSERT_TRUE(cc.active()) << "the capture began and was never finished";
+
+  EXPECT_EQ(plain.kernel.stats.syscall_fast_entries, ck.kernel.stats.syscall_fast_entries);
+  EXPECT_EQ(plain.kernel.stats.ipc_fast_handoffs, ck.kernel.stats.ipc_fast_handoffs);
+  EXPECT_EQ(plain.kernel.clock.now(), ck.kernel.clock.now());
+  EXPECT_EQ(plain.kernel.stats.syscalls, ck.kernel.stats.syscalls);
+  EXPECT_EQ(plain.kernel.stats.context_switches, ck.kernel.stats.context_switches);
+  cc.Finish();
+}
+
 // Deltas carry only re-dirtied pages, and merging base+delta reproduces the
 // stop-the-world full capture at the delta's instant on a replay.
 TEST_P(CkptMachineTest, DeltaChainMergesToFullImage) {
@@ -686,7 +723,7 @@ TEST_F(CkptRestartLogTest, FnvDigestStoreFailsRecoveryWithDigestMismatch) {
   EXPECT_NE(err.find("image digest mismatch"), std::string::npos) << err;
 }
 
-// --- v3 stream robustness and v2 backward compatibility ---
+// --- Stream robustness and the pinned layout ---
 
 TEST(CkptImageV3Test, FlipEveryByteIsRejected) {
   World w(KernelConfig{}, /*rounds=*/60, /*writer_rounds=*/60, /*writer_pages=*/4,
@@ -750,53 +787,6 @@ TEST(CkptImageV3Test, LayoutIsPinned) {
   EXPECT_EQ(wire::LoadLe32(delta.data() + delta.size() - 4), kPinDeltaCrc);
 }
 
-TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
-  // The v2 single-space world from ckpt_image_test: a held mutex, a blocked
-  // waiter, one dirtied page.
-  KernelConfig cfg;
-  ProgramRegistry registry;
-  Kernel k(cfg);
-  auto space = k.CreateSpace("job");
-  space->SetAnonRange(0x10000, 1 << 20);
-  auto mutex = k.NewMutex();
-  const Handle m = k.Install(space, mutex);
-  Assembler aa("fa");
-  EmitSys(aa, kSysMutexLock, m);
-  aa.MovImm(kRegB, 0x11223344);
-  aa.MovImm(kRegC, 0x10000);
-  aa.StoreW(kRegB, kRegC, 0);
-  EmitCompute(aa, 900000);
-  EmitSys(aa, kSysMutexUnlock, m);
-  EmitPuts(aa, "A");
-  aa.Halt();
-  Assembler ab("fb");
-  EmitCompute(ab, 100000);
-  EmitSys(ab, kSysMutexLock, m);
-  EmitPuts(ab, "B");
-  ab.Halt();
-  registry.Register(aa.Build());
-  registry.Register(ab.Build());
-  k.StartThread(k.CreateThread(space, registry.Find("fa")));
-  k.StartThread(k.CreateThread(space, registry.Find("fb")));
-  k.Run(k.clock.now() + 2 * kNsPerMs);
-
-  const std::vector<uint8_t> v2 = SerializeCheckpoint(CaptureSpace(k, *space));
-  MachineImage img;
-  std::string err;
-  ASSERT_TRUE(DeserializeImage(v2, &img, &err)) << err;
-  ASSERT_EQ(img.spaces.size(), 1u);
-  EXPECT_EQ(img.base_generation, 0u);
-
-  Kernel k2(cfg);
-  const MachineRestoreResult r = RestoreMachine(k2, img, registry);
-  ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_TRUE(k2.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
-  EXPECT_EQ(k2.console.output(), "AB");
-  uint32_t v = 0;
-  ASSERT_TRUE(r.spaces[0]->HostRead(0x10000, &v, 4));
-  EXPECT_EQ(v, 0x11223344u);
-}
-
 // --- Structured refusals ---
 
 TEST(CkptRefusalTest, RefusesOutsideTheCheckpointableSubset) {
@@ -821,6 +811,31 @@ TEST(CkptRefusalTest, RefusesOutsideTheCheckpointableSubset) {
   const MachineRestoreResult r = RestoreMachine(k, delta, registry);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("unmerged delta"), std::string::npos) << r.error;
+}
+
+// A task checkpoint captures one space, so a thread connected to a thread in
+// another space is refused -- before anything is stopped.
+TEST(CkptRefusalTest, TaskWithAPeerInAnotherSpaceIsRefused) {
+  World w((KernelConfig()));
+  RunTo(w.kernel, kNsPerMs / 2);
+  Thread* client = w.all[1];
+  ASSERT_NE(client->ipc_peer, nullptr);
+  ASSERT_NE(client->ipc_peer->space, client->space);
+  std::vector<ThreadRun> before;
+  for (const Thread* t : client->space->threads) {
+    before.push_back(t->run_state);
+  }
+  MachineImage img;
+  std::string err;
+  EXPECT_FALSE(CaptureSpace(w.kernel, *client->space, &img, &err));
+  EXPECT_EQ(err, "ipc peer is not a captured thread");
+  EXPECT_TRUE(img.spaces.empty());
+  std::vector<ThreadRun> after;
+  for (const Thread* t : client->space->threads) {
+    EXPECT_NE(t->run_state, ThreadRun::kStopped);
+    after.push_back(t->run_state);
+  }
+  EXPECT_EQ(before, after);
 }
 
 // Space names are not unique (the space-create syscall names every space

@@ -252,13 +252,16 @@ TEST_P(StateTest, CheckpointMigrateAtArbitraryTimes) {
     const std::string before = k1.console.output();
 
     // Checkpoint, kill the original, migrate to a fresh kernel.
-    CheckpointImage img = CaptureSpace(k1, *space);
+    MachineImage img;
+    std::string err;
+    ASSERT_TRUE(CaptureSpace(k1, *space, &img, &err)) << err;
     DestroySpaceThreads(k1, *space);
     k1.Run(k1.clock.now() + 5 * kNsPerMs);  // original kernel: nothing left
     EXPECT_EQ(k1.console.output(), before);
 
     Kernel k2(GetParam());
-    RestoreResult r = RestoreSpace(k2, img, wl.registry);
+    const MachineRestoreResult r = RestoreMachine(k2, img, wl.registry);
+    ASSERT_TRUE(r.ok) << r.error;
     ASSERT_TRUE(k2.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
     const std::string after = k2.console.output();
 
@@ -290,14 +293,17 @@ TEST_P(StateTest, CheckpointPreservesMemoryExactly) {
   k1.StartThread(t);
   ASSERT_TRUE(k1.RunUntilQuiescent(10ull * 1000 * kNsPerMs));
 
-  CheckpointImage img = CaptureSpace(k1, *space);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureSpace(k1, *space, &img, &err)) << err;
   Kernel k2(GetParam());
-  RestoreResult r = RestoreSpace(k2, img, reg, /*start=*/false);
+  const MachineRestoreResult r = RestoreMachine(k2, img, reg, /*start=*/false);
+  ASSERT_TRUE(r.ok) << r.error;
 
   for (uint32_t addr = 0x10000; addr < 0x10000 + 3 * kPageSize; addr += 7) {
     uint8_t v1 = 0, v2 = 0;
     ASSERT_TRUE(space->HostRead(addr, &v1, 1));
-    ASSERT_TRUE(r.space->HostRead(addr, &v2, 1));
+    ASSERT_TRUE(r.spaces[0]->HostRead(addr, &v2, 1));
     ASSERT_EQ(v1, v2) << "addr " << addr;
     ASSERT_EQ(v2, static_cast<uint8_t>(addr)) << "addr " << addr;
   }
@@ -326,16 +332,19 @@ TEST_P(StateTest, InterruptedIpcStateMigrates) {
   k1.Run(k1.clock.now() + 20 * kNsPerMs);
   ASSERT_EQ(t->run_state, ThreadRun::kBlocked);  // queued on the port
 
-  CheckpointImage img = CaptureSpace(k1, *space);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureSpace(k1, *space, &img, &err)) << err;
   DestroySpaceThreads(k1, *space);
 
   // New kernel: same handle slot must name a Reference to a *served* port.
   Kernel k2(GetParam());
-  RestoreResult r = RestoreSpace(k2, img, reg, /*start=*/false);
+  const MachineRestoreResult r = RestoreMachine(k2, img, reg, /*start=*/false);
+  ASSERT_TRUE(r.ok) << r.error;
   auto port2 = k2.NewPort(5);
-  // The reference slot was restored as an empty Reference; point it at the
-  // new port (the migration manager's job in real Fluke).
-  auto* refobj = r.space->LookupAs<Reference>(ref_h, ObjType::kReference);
+  // The reference slot was restored naming a new port that nothing serves;
+  // point it at the served port (the migration manager's job in real Fluke).
+  auto* refobj = r.spaces[0]->LookupAs<Reference>(ref_h, ObjType::kReference);
   ASSERT_NE(refobj, nullptr);
   refobj->target = port2;
 

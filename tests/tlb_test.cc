@@ -110,14 +110,16 @@ TEST_F(TlbTest, CheckpointRestoreSeesRestoredContents) {
   ASSERT_TRUE(s->HostWrite(kVaddr, &pat, 4));
   uint32_t v = 0, fa = 0;
   ASSERT_TRUE(s->ReadWord(kVaddr, &v, &fa));  // warm original space's TLB
-  CheckpointImage img = CaptureSpace(k_, *s);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureSpace(k_, *s, &img, &err)) << err;
   // Mutate the original after capture; the restored space must see the
   // captured value through its own (fresh) frames and TLB.
   ASSERT_TRUE(s->WriteWord(kVaddr, 0u, &fa));
   ProgramRegistry reg;
-  RestoreResult rr = RestoreSpace(k_, img, reg, /*start=*/false);
-  ASSERT_NE(rr.space, nullptr);
-  ASSERT_TRUE(rr.space->ReadWord(kVaddr, &v, &fa));
+  const MachineRestoreResult rr = RestoreMachine(k_, img, reg, /*start=*/false);
+  ASSERT_TRUE(rr.ok) << rr.error;
+  ASSERT_TRUE(rr.spaces[0]->ReadWord(kVaddr, &v, &fa));
   EXPECT_EQ(v, pat);
   ASSERT_TRUE(s->ReadWord(kVaddr, &v, &fa));
   EXPECT_EQ(v, 0u);
