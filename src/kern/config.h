@@ -90,13 +90,16 @@ struct KernelConfig {
   // (FLUKE_INTERP_COMPUTED_GOTO); kJit degrades to kThreaded (then kSwitch)
   // when the host target is unsupported or refuses executable pages.
   InterpEngine interp_engine = InterpEngine::kThreaded;
-  // Syscall/IPC fast paths (src/kern/dispatch.cc): trivial syscalls and the
-  // reliable-IPC direct-handoff send run outside the coroutine machinery
-  // when instrumentation is disarmed, charging the identical virtual-time
-  // costs. Pure host-side dispatch swap: results are bit-identical either
-  // way (tested by tests/fastpath_equivalence_test.cc); off exists for that
-  // A/B check and for debugging. Self-disables while a FaultPlan is armed
-  // or the trace buffer is enabled.
+  // Frameless twins (SyscallDef::fast; src/kern/dispatch.cc): every call
+  // that finishes or blocks at entry without a frame a wake must resume --
+  // trivial calls, uncontended mutex lock/unlock, sleep, thread_interrupt,
+  // connect, accept-then-receive, disconnect and the direct-handoff send --
+  // runs outside the coroutine machinery in every configuration, charging
+  // the identical virtual-time costs. Pure host-side dispatch swap: results
+  // are bit-identical either way (tested by
+  // tests/fastpath_equivalence_test.cc); off exists for that A/B check and
+  // for debugging. Self-disables while a FaultPlan is armed or a checkpoint
+  // still drains; tracing alone keeps it.
   bool fast_path = true;
   // Deterministic fault injection; inert unless fault_plan.enabled and the
   // injector is armed (tests arm it after host-side setup).

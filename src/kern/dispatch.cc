@@ -388,39 +388,43 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
     }
     return;
   }
-  if constexpr (!Instrumented) {
-    // Fast path: complete the syscall outside the coroutine machinery. A
-    // fast handler either performs the whole operation -- identical
-    // registers, virtual-time charges and frame accounting -- and returns
-    // true, or touches nothing and falls through to the engine below. With
-    // instrumentation disarmed every hook the slow path would have skipped
-    // is provably absent rather than skipped.
-    if (cfg.fast_path && def->fast != nullptr && def->fast(*this, t, *def)) {
-      return;
-    }
-  } else {
-    // Tracing alone does not forfeit the fast path: the handlers emit the
-    // same chunk/handoff/flow events the engine route would (ipc.cc), and
-    // the sys span opened above is closed or parked here exactly as
-    // HandleOpOutcomeT would have. A fault plan or an undrained checkpoint
-    // session still forces the coroutine route -- its hook points
-    // (finj.Note, save-on-write) have no fast-path twins.
-    if (cfg.fast_path && def->fast != nullptr && TraceOnlyInstrumentation() &&
-        def->fast(*this, t, *def)) {
-      if (t->run_state == ThreadRun::kBlocked) {
-        // Mirror of the kBlocked arm below: the fast handler committed a
-        // bare block (CommitFastBlock); the wake path closes both spans.
-        t->trace_block_span = trace.BeginSpan(clock.now(), TraceKind::kBlock, t->id(), t->op_sys,
-                                              static_cast<uint32_t>(t->block_kind));
-        t->trace_block_t0 = clock.now();
-      } else {
-        TraceEndSysSpan(t, t->op_sys, t->regs.gpr[kRegA]);
-      }
-      return;
-    }
-  }
   t->op_sys = sys;
   t->op_aux = def->aux;
+  // Fast path: a frameless twin (SyscallDef::fast) finishes or blocks the
+  // call at entry, with the coroutine route's registers, charges and frame
+  // accounting, or touches nothing and falls through to the engine below.
+  // Disarmed, every hook the slow path would have skipped is provably
+  // absent rather than skipped. Tracing alone does not forfeit it: the twins
+  // emit the same chunk/handoff/flow events the engine route would (ipc.cc).
+  // A fault plan or an undrained checkpoint session still forces the
+  // coroutine route -- its hook points (finj.Note, save-on-write) have no
+  // twins.
+  if (cfg.fast_path && def->fast != nullptr && (!Instrumented || TraceOnlyInstrumentation()) &&
+      def->fast(*this, t, *def)) {
+    // The shared tail: exactly what HandleOpOutcomeT does for the frame the
+    // twin stands in for.
+    if (t->run_state == ThreadRun::kBlocked) {
+      if constexpr (Instrumented) {
+        // CommitFastBlock ran the kBlocked arm; the wake path closes both
+        // spans.
+        t->trace_block_span = trace.BeginSpan(clock.now(), TraceKind::kBlock, t->id(), sys,
+                                              static_cast<uint32_t>(t->block_kind));
+        t->trace_block_t0 = clock.now();
+      }
+    } else {
+      if constexpr (Instrumented) {
+        TraceEndSysSpan(t, sys, t->regs.gpr[kRegA]);
+      }
+      AccountFrameFree(t, def->frame_bytes);  // op.Reset()
+      uint64_t exit = costs.syscall_exit;
+      if (cfg.model == ExecModel::kInterrupt) {
+        exit += costs.interrupt_exit_extra;
+      }
+      Charge(exit);
+    }
+    ++stats.syscall_fast_entries;
+    return;
+  }
   SetFrameAccounting(this, t);
   t->op = def->handler(t->ctx);
   ResumeOp(t);

@@ -1023,34 +1023,34 @@ KTask SysIpcServerDisconnect(SysCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct-handoff fast path for the six reliable-IPC send entrypoints.
-//
-// When the receiver is already blocked in its receive stage -- the steady
-// state of an RPC round trip -- the whole send collapses to: copy the
-// message, complete the blocked peer, and either finish or block in the
-// receive stage of a *SendOverReceive successor. No coroutine frames are
-// created; their sizes are probed once and charged through AccountFrame* so
-// Table 7 stays bit-identical. Every virtual-time charge below is a line-
-// for-line transcription of the path SysIpcEngine/DoSendPhase/TransferData/
-// DoReceivePhase would take under the same gates, so the schedule digest,
-// stats and final state are unchanged (tests/fastpath_equivalence_test.cc).
+// Frameless twins (SyscallDef::fast). Each replays, line for line, the path
+// SysIpcEngine and its child coroutines would take under the same gates --
+// every charge in order, the FP lock from a real KLockGuard, and each frame
+// the route would create accounted synthetically (sizes probed once), so
+// Table 7, the schedule and the final state are unchanged
+// (tests/fastpath_equivalence_test.cc). A twin that blocks does so through
+// CommitFastBlock, and only where a completion or a cancel is the sole end
+// of the wait: a wake would resume a frame the twin never created.
+// ---------------------------------------------------------------------------
+
+// Direct-handoff send, for the six reliable-IPC send entrypoints. When the
+// receiver is already blocked in its receive stage -- the steady state of an
+// RPC round trip -- the send collapses to: copy the message, complete the
+// blocked peer, and either finish or block in the receive stage of a
+// *SendOverReceive successor.
 //
 // Gates (checked before ANY mutation; declining falls back to the engine):
-//  * not PreemptMode::kFull -- FP charges lock costs and its work quanta may
-//    suspend mid-transfer;
+//  * no pending exception reply to ack, and no alert for a successor
+//    receive stage to surface;
 //  * transfer shorter than one chunk AND one preemption interval, so the
 //    slow path's chunk loop would run without preemption-point charges;
 //  * whole message fits the receiver's buffer (sender's stage completes,
 //    never blocks mid-message);
 //  * both buffers word-aligned and fully translated with sufficient rights
 //    (the slow path's memcpy route; translation itself only touches the
-//    TLB, which is host-side state).
-// ---------------------------------------------------------------------------
-
+//    TLB, which is host-side state);
+//  * under FP, one chunk: a second would follow a Work() preemption point.
 bool FastIpcSend(Kernel& k, Thread* t, const SyscallDef& def) {
-  if (k.cfg.preempt == PreemptMode::kFull) {
-    return false;
-  }
   const uint32_t sys = def.num;
   if ((sys == kSysIpcServerAckSend || sys == kSysIpcServerAckSendOverReceive) &&
       t->exception_victim != nullptr) {
@@ -1115,31 +1115,27 @@ bool FastIpcSend(Kernel& k, Thread* t, const SyscallDef& def) {
       di -= words;
     }
   }
+  if (k.cfg.preempt == PreemptMode::kFull && nchunks > 1) {
+    return false;
+  }
 
-  // Frame sizes the slow path would allocate, probed once (host-side; the
-  // probe suppresses accounting).
-  static const size_t f_engine = ProbeFrameSize(SysIpcEngine);
   static const size_t f_send = ProbeFrameSize(DoSendPhase);
   static const size_t f_recv = ProbeFrameSize(DoReceivePhase);
-  static const size_t f_transfer = [] {
-    FrameProbeScope probe;
-    SysCtx dummy;
-    { KTask task = TransferData(dummy, nullptr, nullptr); }  // never resumed
-    return probe.bytes();
-  }();
+  static const size_t f_transfer =
+      ProbeFrameSize(TransferData, static_cast<Thread*>(nullptr), static_cast<Thread*>(nullptr));
 
   // --- Committed: from here on, replicate the slow path exactly. ---
   // Reachable traced: a trace-only armed run keeps the fast path
   // (Kernel::TraceOnlyInstrumentation), so the handoff marks itself with
   // this instant and emits the same chunk/flow events the engine route
-  // would. The dispatcher opened the sys span before consulting us and
-  // closes/parks it after we return (dispatch.cc).
+  // would.
   k.trace.Record(k.clock.now(), TraceKind::kIpcFastHandoff, t->id(), d);
-  t->op_sys = sys;
-  t->op_aux = def.aux;
-  k.AccountFrameAlloc(t, f_engine);   // t->op = SysIpcEngine(ctx)
-  k.Charge(k.costs.short_body);       // engine prologue (KLockGuard free !FP)
-  k.AccountFrameAlloc(t, f_send);     // co_await DoSendPhase(ctx)
+  ++k.stats.ipc_fast_handoffs;
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysIpcEngine(ctx)
+  SysCtx ctx{&k, t};
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  k.AccountFrameAlloc(t, f_send);  // co_await DoSendPhase(ctx)
   if (d == 0) {
     // Zero-length send: pure message boundary for the blocked receiver.
     k.CompleteBlockedOp(peer, kFlukeOk);
@@ -1149,6 +1145,7 @@ bool FastIpcSend(Kernel& k, Thread* t, const SyscallDef& def) {
       k.trace.Record(k.clock.now(), TraceKind::kIpcChunk, t->id(), plan[c].words);
       std::memcpy(plan[c].dp, plan[c].sp, 4 * plan[c].words);
       k.Charge(k.costs.ipc_chunk_setup + 2ull * plan[c].words * k.costs.ipc_per_word);
+      k.ChargeFpLocks();  // per-chunk: both spaces' pmap access is locked
       t->regs.gpr[kRegC] += 4 * plan[c].words;
       t->regs.gpr[kRegD] -= plan[c].words;
       peer->regs.gpr[kRegSI] += 4 * plan[c].words;
@@ -1164,43 +1161,112 @@ bool FastIpcSend(Kernel& k, Thread* t, const SyscallDef& def) {
   bool disconnect = false;
   const uint32_t succ = SendSuccessor(sys, &disconnect);  // never disconnects here
   (void)disconnect;
-  if (succ == 0) {
-    k.Charge(k.costs.ipc_finish);
-    k.Finish(t, kFlukeOk);
-    k.AccountFrameFree(t, f_engine);  // HandleOpOutcome: op.Reset()
-  } else {
-    t->regs.gpr[kRegA] = succ;        // commit the stage transition
-    k.AccountFrameAlloc(t, f_recv);   // co_await DoReceivePhase(ctx)
-    if (t->regs.gpr[kRegDI] == 0) {
-      // Degenerate receive: zero-length buffer completes immediately.
-      k.AccountFrameFree(t, f_recv);
-      k.Charge(k.costs.ipc_finish);
-      k.Finish(t, kFlukeOk);
-      k.AccountFrameFree(t, f_engine);
-    } else {
+  if (succ != 0) {
+    t->regs.gpr[kRegA] = succ;       // commit the stage transition
+    k.AccountFrameAlloc(t, f_recv);  // co_await DoReceivePhase(ctx)
+    if (t->regs.gpr[kRegDI] != 0) {
       // The peer (just completed) can't feed us: block at the committed
       // restart point, exactly like `co_await Block(ctx, nullptr)`.
-      t->block_kind = BlockKind::kIpcWait;
-      k.Charge(k.costs.wait_enqueue);
-      k.CommitFastBlock(t);
-      if (k.cfg.model == ExecModel::kInterrupt) {
-        // op.Reset() destruction order: child frame first, then engine.
-        k.AccountFrameFree(t, f_recv);
-        k.AccountFrameFree(t, f_engine);
-      }
-      ++k.stats.ipc_fast_handoffs;
-      ++k.stats.syscall_fast_entries;
+      k.CommitFastBlock(t, BlockKind::kIpcWait, {f_recv, def.frame_bytes}, &lock);
       return true;
     }
+    // Degenerate receive: zero-length buffer completes immediately.
+    k.AccountFrameFree(t, f_recv);
   }
-  // Completed without blocking: the dispatcher's syscall-exit charge.
-  uint64_t exit = k.costs.syscall_exit;
-  if (k.cfg.model == ExecModel::kInterrupt) {
-    exit += k.costs.interrupt_exit_extra;
+  k.Charge(k.costs.ipc_finish);
+  k.Finish(t, kFlukeOk);
+  return true;
+}
+
+// Pure ipc_client_connect: pairs with a waiting server and completes, or
+// queues on the port and blocks framelessly. Only an accepting server (which
+// completes it), a cancel or a port destroy ends that wait.
+bool FastIpcConnect(Kernel& k, Thread* t, const SyscallDef& def) {
+  if (t->ipc_peer != nullptr) {
+    return false;
   }
-  k.Charge(exit);
-  ++k.stats.ipc_fast_handoffs;
-  ++k.stats.syscall_fast_entries;
+  Port* port = LookupPortArg(t, t->regs.gpr[kRegB]);
+  if (port == nullptr) {
+    return false;
+  }
+  static const size_t f_connect = ProbeFrameSize(DoConnect);
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysIpcEngine(ctx)
+  SysCtx ctx{&k, t};
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  k.AccountFrameAlloc(t, f_connect);  // co_await DoConnect(ctx)
+  k.Charge(k.costs.ipc_connect);
+  Thread* server = port->servers.Dequeue();
+  if (server == nullptr && port->member_of != nullptr) {
+    server = port->member_of->servers.Dequeue();
+  }
+  if (server == nullptr) {
+    port->waiting_clients.PushBack(t);
+    t->queued_on_port = port;
+    k.WakeAll(&port->pollers);
+    if (port->member_of != nullptr) {
+      k.WakeAll(&port->member_of->pollers);
+    }
+    k.CommitFastBlock(t, BlockKind::kIpcWait, {f_connect, def.frame_bytes}, &lock);
+    return true;
+  }
+  server->block_kind = BlockKind::kIpcWait;
+  PairClientServer(k, t, server, port);
+  server->regs.gpr[kRegA] = kSysIpcServerReceive;
+  server->regs.gpr[kRegB] = port->badge;
+  k.AccountFrameFree(t, f_connect);  // DoConnect co_returned kOk
+  k.Finish(t, kFlukeOk);
+  return true;
+}
+
+// ipc_wait_receive with a pure-connect client queued: accept and complete
+// that client, then block framelessly in the receive stage, where only the
+// client's send (a completion), its disconnect or a cancel can end the wait.
+// With no client queued it declines: a kernel message resumes a wait-phase
+// frame through WakeServer.
+bool FastIpcWaitReceive(Kernel& k, Thread* t, const SyscallDef& def) {
+  if (t->ipc_alerted || t->regs.gpr[kRegDI] == 0) {
+    return false;  // the receive stage would complete at once
+  }
+  KernelObject* obj = t->space->Lookup(t->regs.gpr[kRegB]);
+  if (obj == nullptr || (obj->type() != ObjType::kPort && obj->type() != ObjType::kPortset) ||
+      PortWithKmsg(obj) != nullptr) {
+    return false;
+  }
+  Port* p = PortWithClient(obj);
+  if (p == nullptr || p->waiting_clients.Front()->regs.gpr[kRegA] != kSysIpcClientConnect) {
+    return false;
+  }
+  static const size_t f_wait = ProbeFrameSize(DoWaitPhase, true);
+  static const size_t f_recv = ProbeFrameSize(DoReceivePhase);
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysIpcEngine(ctx)
+  SysCtx ctx{&k, t};
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  k.AccountFrameAlloc(t, f_wait);  // co_await DoWaitPhase(ctx, true)
+  Thread* client = p->waiting_clients.PopFront();
+  client->queued_on_port = nullptr;
+  PairClientServer(k, client, t, p);
+  AdvanceBlockedClientAfterAccept(k, client);  // pure connect: completes it
+  t->regs.gpr[kRegA] = kSysIpcServerReceive;
+  t->regs.gpr[kRegB] = p->badge;
+  k.AccountFrameFree(t, f_wait);
+  k.AccountFrameAlloc(t, f_recv);  // co_await DoReceivePhase(ctx)
+  k.CommitFastBlock(t, BlockKind::kIpcWait, {f_recv, def.frame_bytes}, &lock);
+  return true;
+}
+
+// ipc_client_disconnect and ipc_server_disconnect. The server's declines
+// while an exception victim is pending (the handler must fail it); the
+// client's does too, which only sends that rare case down the engine.
+bool FastIpcDisconnect(Kernel& k, Thread* t, const SyscallDef& def) {
+  if (t->exception_victim != nullptr) {
+    return false;
+  }
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = def.handler(ctx)
+  k.Charge(k.costs.short_body);
+  IpcDisconnect(k, t);
+  k.Finish(t, kFlukeOk);
   return true;
 }
 

@@ -391,6 +391,15 @@ void Kernel::CompleteBlockedOp(Thread* t, uint32_t err) {
 
 // Shared wake bookkeeping (free function so ipc.cc can reuse it).
 void FinishWake(Kernel* k, Thread* t) {
+  if (t->frameless_block) {
+    // A frameless block has no frame to resume: only a completion or a
+    // cancel may end it. Waking it would re-enter the syscall from its
+    // registers and charge syscall_entry twice, so a call whose wait a wake
+    // can end must stay on the coroutine route. Recoverable: roll the
+    // operation back to its restart point.
+    k->Panic("frameless block resumed");
+    k->CancelOpQueuesOnly(t);
+  }
   if (k->trace.enabled()) {
     k->TraceFlowTo(t);
     k->TraceEndBlockSpan(t, 0);
@@ -417,13 +426,6 @@ void Kernel::CancelOp(Thread* t) {
     Panic("cancel of a thread on-CPU");
     return;
   }
-  // Rollback closes the open spans innermost-first (block, remedy, then the
-  // syscall lifetime with the "cancelled" sentinel result); a restarted op
-  // opens a fresh restart-epoch span at its next entry.
-  TraceEndBlockSpan(t, 1);
-  TraceEndRemedySpan(t, 1);
-  TraceEndSysSpan(t, t->op_sys, 0xFFFFFFFFu);
-  CancelSleepTimer(t);  // a cancelled sleep frees its wheel entry now
   if (t->waiting_on != nullptr) {
     t->waiting_on->Remove(t);
   }
@@ -431,27 +433,7 @@ void Kernel::CancelOp(Thread* t) {
     t->queued_on_port->waiting_clients.Remove(t);
     t->queued_on_port = nullptr;
   }
-  UncountBlockedBytes(t);
-  if (t->op.valid()) {
-    // `t` is usually NOT the running thread here (peer completion, external
-    // cancellation): attribute the frame destruction to `t`, then restore
-    // the running handler's attribution so its own frame events that follow
-    // this call are not charged to the cancelled thread.
-    Kernel* saved_k = nullptr;
-    Thread* saved_t = nullptr;
-    GetFrameAccounting(&saved_k, &saved_t);
-    SetFrameAccounting(this, t);
-    t->op.Reset();
-    SetFrameAccounting(saved_k, saved_t);
-  } else if (t->frameless_block) {
-    // Fast-path bare block: no real frame, but the synthetic kstack bytes
-    // are live (Table 7); release them exactly as op.Reset() would have.
-    AccountFrameFree(t, t->kstack_bytes);
-  }
-  t->frameless_block = false;
-  t->resume_point = {};
-  t->block_kind = BlockKind::kNone;
-  t->restart_pending = true;
+  CancelOpQueuesOnly(t);
 }
 
 // ---------------------------------------------------------------------------
@@ -771,15 +753,21 @@ void Kernel::DestroyObject(KernelObject* obj) {
 // Cancels a thread's retained frame without touching wait queues (the caller
 // already dequeued it).
 void Kernel::CancelOpQueuesOnly(Thread* t, bool counts_as_restart) {
-  // See CancelOp: close any spans still open (no-ops when the caller --
-  // e.g. CompleteBlockedOp -- already closed them with real results).
+  // Rollback closes the open spans innermost-first (block, remedy, then the
+  // syscall lifetime with the "cancelled" sentinel result; no-ops when the
+  // caller -- e.g. CompleteBlockedOp -- already closed them with real
+  // results); a restarted op opens a fresh restart-epoch span at its next
+  // entry.
   TraceEndBlockSpan(t, 1);
   TraceEndRemedySpan(t, 1);
   TraceEndSysSpan(t, t->op_sys, 0xFFFFFFFFu);
-  CancelSleepTimer(t);  // see CancelOp: no dead-entry no-op fires
+  CancelSleepTimer(t);  // a cancelled sleep frees its wheel entry now
   UncountBlockedBytes(t);
   if (t->op.valid()) {
-    // See CancelOp: restore the running handler's attribution afterwards.
+    // `t` is usually NOT the running thread here (peer completion, external
+    // cancellation): attribute the frame destruction to `t`, then restore
+    // the running handler's attribution so its own frame events that follow
+    // this call are not charged to the cancelled thread.
     Kernel* saved_k = nullptr;
     Thread* saved_t = nullptr;
     GetFrameAccounting(&saved_k, &saved_t);
@@ -787,10 +775,16 @@ void Kernel::CancelOpQueuesOnly(Thread* t, bool counts_as_restart) {
     t->op.Reset();
     SetFrameAccounting(saved_k, saved_t);
   } else if (t->frameless_block) {
-    // Fast-path bare block (see CancelOp): release the synthetic bytes.
+    // Frameless block: no real frame, but the synthetic kstack bytes are
+    // live (Table 7), and the engine frame it stands for may hold an FP
+    // lock; release both exactly as op.Reset() would have.
     AccountFrameFree(t, t->kstack_bytes);
+    if (t->frameless_lock) {
+      Charge(costs.fp_unlock);  // ~KLockGuard
+    }
   }
   t->frameless_block = false;
+  t->frameless_lock = false;
   t->resume_point = {};
   t->block_kind = BlockKind::kNone;
   if (counts_as_restart) {
@@ -798,21 +792,28 @@ void Kernel::CancelOpQueuesOnly(Thread* t, bool counts_as_restart) {
   }
 }
 
-void Kernel::CommitFastBlock(Thread* t) {
-  // Mirror of HandleOpOutcome's kBlocked arm for a fast-path bare block.
-  // The caller (ipc.cc) has already charged wait_enqueue and set
-  // block_kind; in the interrupt model it also frees the synthetic frame
-  // bytes itself in op.Reset()'s destruction order.
+void Kernel::CommitFastBlock(Thread* t, BlockKind kind, std::initializer_list<size_t> frames,
+                             KLockGuard* lock) {
+  // BlockAwaiter's half.
+  Charge(costs.wait_enqueue);
+  ChargeFpLocks();  // wait-queue lock
   t->op_status = KStatus::kBlocked;
   t->run_state = ThreadRun::kBlocked;
-  if (cfg.model == ExecModel::kProcess) {
-    blocked_frame_bytes_ += t->kstack_bytes;
-    t->blocked_bytes_counted = true;
-    if (blocked_frame_bytes_ > stats.blocked_frame_bytes_peak) {
-      stats.blocked_frame_bytes_peak = blocked_frame_bytes_;
+  t->block_kind = kind;
+  // HandleOpOutcome's kBlocked arm (the dispatcher opens the block span).
+  if (cfg.model == ExecModel::kInterrupt) {
+    for (const size_t bytes : frames) {
+      AccountFrameFree(t, bytes);  // op.Reset(): innermost frame first
     }
-    t->frameless_block = true;
+    return;  // no FP in this model: the lock, if any, charged nothing
   }
+  blocked_frame_bytes_ += t->kstack_bytes;
+  t->blocked_bytes_counted = true;
+  if (blocked_frame_bytes_ > stats.blocked_frame_bytes_peak) {
+    stats.blocked_frame_bytes_peak = blocked_frame_bytes_;
+  }
+  t->frameless_block = true;
+  t->frameless_lock = lock != nullptr && lock->Release();
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +41,7 @@
 namespace fluke {
 
 struct SyscallDef;
+class KLockGuard;
 
 struct Cpu {
   int id = 0;
@@ -417,10 +419,17 @@ class Kernel {
     }
   }
 
-  // Applies the execution model to a fast-path bare block (ipc.cc): the
-  // thread blocks with synthetically accounted kstack bytes and no retained
-  // frame. Mirrors HandleOpOutcome's kBlocked arm bit-for-bit.
-  void CommitFastBlock(Thread* t);
+  // The one frameless-block helper for the fast twins (syscalls.cc, ipc.cc):
+  // `t` blocks at entry with no coroutine frame, its registers its whole
+  // continuation. Mirrors BlockAwaiter and HandleOpOutcome's kBlocked arm
+  // bit for bit: charges wait_enqueue and the wait-queue lock, sets `kind`,
+  // and accounts `frames` -- the sizes the coroutine route would hold,
+  // innermost first. The interrupt model frees them now, in op.Reset()
+  // order; the process model keeps them live, and only a completion or a
+  // cancel (CancelOpQueuesOnly) ends the block. The hold of `lock`, the
+  // twin's stand-in for a KLockGuard in the frame, passes to the block.
+  void CommitFastBlock(Thread* t, BlockKind kind, std::initializer_list<size_t> frames,
+                       KLockGuard* lock = nullptr);
 
   uint64_t NextObjId() { return next_obj_id_++; }
 
@@ -559,6 +568,14 @@ class KLockGuard {
   ~KLockGuard();
   KLockGuard(const KLockGuard&) = delete;
   KLockGuard& operator=(const KLockGuard&) = delete;
+
+  // Hands the hold to a frameless block (Kernel::CommitFastBlock), which
+  // charges the release when the block ends. True if a lock was held.
+  bool Release() {
+    const bool held = charged_;
+    charged_ = false;
+    return held;
+  }
 
  private:
   SysCtx& ctx_;

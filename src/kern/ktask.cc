@@ -44,17 +44,6 @@ FrameProbeScope::~FrameProbeScope() {
   g_frame_probe = saved_probe_;
 }
 
-size_t ProbeFrameSize(KTask (*fn)(SysCtx&)) {
-  FrameProbeScope probe;
-  SysCtx dummy;
-  {
-    // initial_suspend is suspend_always: this allocates the frame without
-    // running the body, and the temporary's destructor frees it.
-    KTask t = fn(dummy);
-  }
-  return probe.bytes();
-}
-
 void* KTask::promise_type::operator new(std::size_t n) {
   if (g_frame_probe != nullptr) {
     *g_frame_probe = n;

@@ -187,8 +187,19 @@ class FrameProbeScope {
   size_t* saved_probe_;
 };
 
-// Probes the frame size of a plain SysCtx handler (see FrameProbeScope).
-size_t ProbeFrameSize(KTask (*fn)(SysCtx&));
+// Probes the frame size of a handler or a child coroutine, called with a
+// dummy context and `args` (see FrameProbeScope).
+template <typename... Params, typename... Args>
+size_t ProbeFrameSize(KTask (*fn)(SysCtx&, Params...), Args... args) {
+  FrameProbeScope probe;
+  SysCtx dummy;
+  {
+    // initial_suspend is suspend_always: this allocates the frame without
+    // running the body, and the temporary's destructor frees it.
+    KTask task = fn(dummy, args...);
+  }
+  return probe.bytes();
+}
 
 // An explicit preemption point (partial-preemption configurations). The
 // handler must have committed restart state: in the interrupt model the

@@ -154,10 +154,14 @@ struct Thread final : public KernelObject {
   uint64_t kstack_bytes = 0;  // live coroutine-frame bytes
   uint64_t kstack_bytes_peak = 0;
   bool blocked_bytes_counted = false;
-  // Process-model fast-path block (ipc.cc): the thread is blocked with
-  // kstack_bytes accounted synthetically but no real retained frame, so
-  // cancellation must release the bytes itself instead of via op.Reset().
+  // Process-model frameless block (Kernel::CommitFastBlock): the thread is
+  // blocked with kstack_bytes accounted synthetically but no real retained
+  // frame, so only a completion or a cancel may end it, and that path
+  // releases the bytes itself instead of via op.Reset(). frameless_lock:
+  // the frame it stands for holds an FP KLockGuard, whose release the same
+  // path charges.
   bool frameless_block = false;
+  bool frameless_lock = false;
 
   // --- Open trace spans (host-side observability; see src/kern/trace.h).
   //     Nonzero only while the trace buffer is enabled; invisible to

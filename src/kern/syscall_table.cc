@@ -143,16 +143,39 @@ std::vector<SyscallDef> BuildTable() {
   add(kSysIpcReplyWaitReceive, SysCat::kMultiStage, SysIpcEngine);
   add(kSysIpcExceptionSend, SysCat::kMultiStage, SysIpcEngine);
 
-  // Fast-path wiring (dispatch.cc consults `fast` when instrumentation is
-  // disarmed or trace-only -- Kernel::TraceOnlyInstrumentation; the injector
-  // and an undrained checkpoint are the slow-path forcers): every trivial
-  // syscall completes through FastTrivial; the six reliable-IPC send
-  // entrypoints may take the direct-handoff path.
+  // Frameless twins (dispatch.cc consults `fast` when instrumentation is
+  // disarmed or trace-only -- Kernel::TraceOnlyInstrumentation; a fault
+  // plan and an undrained checkpoint keep every call on `handler`). Each is
+  // wired to the calls it can finish or block at entry without a frame the
+  // wake would have to resume; everything else has no twin.
   for (auto& d : defs) {
+    d.frame_bytes = ProbeFrameSize(d.handler);
     if (d.cat == SysCat::kTrivial) {
       d.fast = FastTrivial;
     }
     switch (d.num) {
+      case kSysMutexLock:
+        d.fast = FastMutexLock;
+        break;
+      case kSysMutexUnlock:
+        d.fast = FastMutexUnlock;
+        break;
+      case kSysClockSleep:
+        d.fast = FastClockSleep;
+        break;
+      case kSysThreadInterrupt:
+        d.fast = FastThreadInterrupt;
+        break;
+      case kSysIpcClientConnect:
+        d.fast = FastIpcConnect;
+        break;
+      case kSysIpcWaitReceive:
+        d.fast = FastIpcWaitReceive;
+        break;
+      case kSysIpcClientDisconnect:
+      case kSysIpcServerDisconnect:
+        d.fast = FastIpcDisconnect;
+        break;
       case kSysIpcClientSend:
       case kSysIpcClientSendOverReceive:
       case kSysIpcServerSend:

@@ -7,6 +7,7 @@
 #ifndef SRC_KERN_SYSCALL_TABLE_H_
 #define SRC_KERN_SYSCALL_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,12 +30,19 @@ struct SyscallDef {
   // 54 common object operations).
   uint32_t aux = 0;
   KTask (*handler)(SysCtx&) = nullptr;
-  // Optional fast-path handler, consulted only when instrumentation is
-  // disarmed (dispatch.cc). Either performs the complete syscall -- same
-  // registers, charges and frame accounting as `handler`, bit-identical
-  // final state -- and returns true, or mutates nothing and returns false
-  // (the dispatcher then runs `handler` normally).
+  // Optional frameless twin of `handler`, consulted when instrumentation is
+  // disarmed or trace-only (dispatch.cc). Either it mutates nothing and
+  // returns false (the dispatcher then runs `handler`), or it commits: it
+  // accounts `frame_bytes` as the coroutine route's `t->op = handler(ctx)`
+  // would, reproduces the handler's registers, charges and child-frame
+  // accounting exactly, and returns true with the call completed or blocked
+  // through Kernel::CommitFastBlock. The dispatcher's shared tail then does
+  // what HandleOpOutcome would: closes the trace span, frees `frame_bytes`
+  // and charges the syscall exit, or opens the block span.
   bool (*fast)(Kernel& k, Thread* t, const SyscallDef& def) = nullptr;
+  // Size of `handler`'s coroutine frame, probed once when the table is
+  // built: what a twin accounts in place of the frame it does not create.
+  size_t frame_bytes = 0;
 };
 
 // Returns the definition for `num`, or null for an invalid entrypoint.
@@ -47,10 +55,19 @@ const SyscallDef* const* SyscallsByNum();
 // The complete registry, ordered by entrypoint number.
 const std::vector<SyscallDef>& AllSyscalls();
 
-// Fast-path handlers (SyscallDef::fast): trivial syscalls (syscalls.cc) and
-// the reliable-IPC direct-handoff send (ipc.cc).
+// Frameless twins (SyscallDef::fast). syscalls.cc: the trivial calls,
+// uncontended mutex lock/unlock, clock_sleep and thread_interrupt. ipc.cc:
+// the direct-handoff send, pure connect, accept-then-receive wait_receive
+// and the two disconnects.
 bool FastTrivial(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastMutexLock(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastMutexUnlock(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastClockSleep(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastThreadInterrupt(Kernel& k, Thread* t, const SyscallDef& def);
 bool FastIpcSend(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastIpcConnect(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastIpcWaitReceive(Kernel& k, Thread* t, const SyscallDef& def);
+bool FastIpcDisconnect(Kernel& k, Thread* t, const SyscallDef& def);
 
 }  // namespace fluke
 

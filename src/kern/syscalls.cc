@@ -127,22 +127,14 @@ KTask SysRandomGet(SysCtx& ctx) {
   co_return KStatus::kOk;
 }
 
-// Fast-path twin of the eight trivial handlers above: performs the same
-// register effects, the same charges (trivial_body here; the dispatcher
-// already charged syscall_entry) and the same frame accounting -- the frame
-// the slow path would have allocated is probed once per entrypoint and
-// accounted synthetically so Table 7 stays bit-identical -- without creating
-// a coroutine. Safe in every configuration: trivial handlers never block,
+// Frameless twin of the eight trivial handlers above: the same register
+// effects and the same trivial_body charge (the dispatcher charges entry and
+// exit), with the handler's frame accounted synthetically so Table 7 stays
+// bit-identical. Safe in every configuration: trivial handlers never block,
 // never fault and take no locks.
 bool FastTrivial(Kernel& k, Thread* t, const SyscallDef& def) {
-  static size_t frame_bytes[kSysCount] = {};
-  size_t& fsz = frame_bytes[def.num];
-  if (fsz == 0) {
-    fsz = ProbeFrameSize(def.handler);
-  }
-  t->op_sys = def.num;
-  t->op_aux = def.aux;
-  k.AccountFrameAlloc(t, fsz);
+  assert(def.cat == SysCat::kTrivial && "wired to the trivial calls only");
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = def.handler(ctx)
   k.Charge(k.costs.trivial_body);
   switch (def.num) {
     case kSysNull:
@@ -169,18 +161,7 @@ bool FastTrivial(Kernel& k, Thread* t, const SyscallDef& def) {
     case kSysRandomGet:
       k.FinishWith(t, kFlukeOk, k.rng.Next32());
       break;
-    default:
-      // Not a trivial entrypoint; decline before any state was touched.
-      k.AccountFrameFree(t, fsz);
-      return false;
   }
-  k.AccountFrameFree(t, fsz);
-  uint64_t exit = k.costs.syscall_exit;
-  if (k.cfg.model == ExecModel::kInterrupt) {
-    exit += k.costs.interrupt_exit_extra;
-  }
-  k.Charge(exit);
-  ++k.stats.syscall_fast_entries;
   return true;
 }
 
@@ -554,6 +535,22 @@ KTask SysMutexUnlock(SysCtx& ctx) {
   co_return KStatus::kOk;
 }
 
+// Twin of SysMutexUnlock when nobody waits, so there is no wake to make.
+bool FastMutexUnlock(Kernel& k, Thread* t, const SyscallDef& def) {
+  SysCtx ctx{&k, t};
+  auto* m = static_cast<Mutex*>(LookupTyped(ctx, RegB(ctx), ObjType::kMutex));
+  if (m == nullptr || !m->locked || !m->waiters.empty()) {
+    return false;
+  }
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysMutexUnlock(ctx)
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  m->locked = false;
+  m->owner_tid = 0;
+  k.Finish(t, kFlukeOk);
+  return true;
+}
+
 KTask SysCondSignal(SysCtx& ctx) {
   Kernel& k = *ctx.kernel;
   Thread* t = ctx.thread;
@@ -694,6 +691,22 @@ KTask SysThreadInterrupt(SysCtx& ctx) {
   co_return KStatus::kOk;
 }
 
+// Twin of SysThreadInterrupt: it never blocks, whatever the target.
+bool FastThreadInterrupt(Kernel& k, Thread* t, const SyscallDef& def) {
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysThreadInterrupt(ctx)
+  SysCtx ctx{&k, t};
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  auto* target = static_cast<Thread*>(LookupTyped(ctx, RegB(ctx), ObjType::kThread));
+  if (target == nullptr) {
+    k.Finish(t, kFlukeErrBadHandle);
+    return true;
+  }
+  k.InterruptThread(target);
+  k.Finish(t, kFlukeOk);
+  return true;
+}
+
 KTask SysThreadResume(SysCtx& ctx) {
   Kernel& k = *ctx.kernel;
   Thread* t = ctx.thread;
@@ -757,6 +770,27 @@ KTask SysMutexLock(SysCtx& ctx) {
   co_return KStatus::kOk;
 }
 
+// Twin of SysMutexLock for a free mutex: AcquireMutex takes it without
+// suspending. A contended lock declines -- WakeOne resumes its waiter's
+// frame.
+bool FastMutexLock(Kernel& k, Thread* t, const SyscallDef& def) {
+  SysCtx ctx{&k, t};
+  auto* m = static_cast<Mutex*>(LookupTyped(ctx, RegB(ctx), ObjType::kMutex));
+  if (m == nullptr || m->locked) {
+    return false;
+  }
+  static const size_t f_acquire = ProbeFrameSize(AcquireMutex, static_cast<Mutex*>(nullptr));
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysMutexLock(ctx)
+  KLockGuard lock(ctx);
+  k.Charge(k.costs.short_body);
+  k.AccountFrameAlloc(t, f_acquire);  // co_await AcquireMutex(ctx, m)
+  m->locked = true;
+  m->owner_tid = t->id();
+  k.AccountFrameFree(t, f_acquire);
+  k.Finish(t, kFlukeOk);
+  return true;
+}
+
 // clock_sleep(B = microseconds).
 KTask SysClockSleep(SysCtx& ctx) {
   Kernel& k = *ctx.kernel;
@@ -770,6 +804,18 @@ KTask SysClockSleep(SysCtx& ctx) {
   // op (cannot happen for sleep, but keep the op well-formed).
   k.Finish(t, kFlukeOk);
   co_return KStatus::kOk;
+}
+
+// Twin of SysClockSleep: arms the timer and blocks framelessly. The timer
+// completes the wait; interrupt, stop and set_state cancel it.
+bool FastClockSleep(Kernel& k, Thread* t, const SyscallDef& def) {
+  k.AccountFrameAlloc(t, def.frame_bytes);  // t->op = SysClockSleep(ctx)
+  k.Charge(k.costs.short_body);
+  const Time dur = static_cast<Time>(t->regs.gpr[kRegB]) * kNsPerUs;
+  const uint64_t token = ++t->sleep_token;
+  k.ArmSleepTimer(t, k.clock.now() + dur, token);
+  k.CommitFastBlock(t, BlockKind::kWaitQueue, {def.frame_bytes});
+  return true;
 }
 
 // thread_join(B = thread handle) -> B = exit code.
