@@ -312,24 +312,18 @@ BENCHMARK(BM_UserMemLoop);
 
 // Tight ALU/branch loop with no memory traffic: the pure measure of
 // interpreter dispatch overhead (fetch, decode, budget accounting), i.e.
-// what the threaded/predecoded engine attacks. The body's ops are mutually
+// what the jit's compiled blocks attack. The body's ops are mutually
 // independent (only the induction variable carries across instructions and
 // iterations) on purpose: a serial chain through the register file would
 // measure the host's store-to-load forwarding latency -- identical for both
 // engines, with dispatch hidden under it by out-of-order execution -- not
 // the dispatch work this benchmark exists to expose. Arg 0 forces the
-// portable switch loop, Arg 1 the threaded engine, Arg 2 the template jit,
-// so a single report carries the three-way comparison; items = retired
-// user instructions.
+// portable switch loop and Arg 2 the template jit -- InterpEngine's
+// numbering, which keeps report names comparable across the history -- so
+// a single report carries the comparison; items = retired user
+// instructions.
 InterpEngine BenchEngine(int64_t arg) {
-  switch (arg) {
-    case 0:
-      return InterpEngine::kSwitch;
-    case 1:
-      return InterpEngine::kThreaded;
-    default:
-      return InterpEngine::kJit;
-  }
+  return arg == 0 ? InterpEngine::kSwitch : InterpEngine::kJit;
 }
 
 void BM_InterpAluLoop(benchmark::State& state) {
@@ -359,7 +353,7 @@ void BM_InterpAluLoop(benchmark::State& state) {
   a.Jmp(outer);
   space->program = a.Build();
   k.StartThread(k.CreateThread(space));
-  k.Run(k.clock.now() + kNsPerMs);  // warm (predecode, first dispatch)
+  k.Run(k.clock.now() + kNsPerMs);  // warm (jit compile, first dispatch)
 
   uint64_t passes = 0;
   for (auto _ : state) {
@@ -370,7 +364,7 @@ void BM_InterpAluLoop(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(passes * (kIters * kInstrPerIter)));
 }
-BENCHMARK(BM_InterpAluLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_InterpAluLoop)->Arg(0)->Arg(2);
 
 // The memory-bound counterpart: a streaming loadw/storew loop over a warm
 // 64 KiB window. The dispatch win shrinks (every instruction also pays the
@@ -405,7 +399,7 @@ void BM_InterpMemLoop(benchmark::State& state) {
   a.Jmp(outer);
   space->program = a.Build();
   k.StartThread(k.CreateThread(space));
-  // Warm: fault in the window and settle the caches (predecode / compile).
+  // Warm: fault in the window and settle the caches (jit compile).
   k.Run(k.clock.now() + 2 * kNsPerMs);
 
   constexpr uint32_t kItersPerPass = kBufBytes / 16;
@@ -418,7 +412,7 @@ void BM_InterpMemLoop(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(passes * (kItersPerPass * kInstrPerIter)));
 }
-BENCHMARK(BM_InterpMemLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_InterpMemLoop)->Arg(0)->Arg(2);
 
 void BM_HardFaultRoundTrip(benchmark::State& state) {
   KernelConfig cfg;

@@ -84,12 +84,11 @@ struct KernelConfig {
   // tests/tlb_test.cc); off exists for that A/B check and for debugging.
   bool enable_tlb = true;
   // Interpreter engine selection (src/uvm/engine.h). Pure host-side
-  // execution engine swap: results are bit-identical across all three
-  // engines (tested by tests/interp_dispatch_test.cc). kThreaded degrades
-  // to kSwitch when the computed-goto engine is not compiled in
-  // (FLUKE_INTERP_COMPUTED_GOTO); kJit degrades to kThreaded (then kSwitch)
-  // when the host target is unsupported or refuses executable pages.
-  InterpEngine interp_engine = InterpEngine::kThreaded;
+  // execution engine swap: results are bit-identical across both engines
+  // (tested by tests/interp_dispatch_test.cc). kJit runs cold and one-block
+  // bursts in the switch core, and degrades to kSwitch outright when the
+  // host target is unsupported or refuses executable pages.
+  InterpEngine interp_engine = InterpEngine::kJit;
   // Frameless twins (SyscallDef::fast; src/kern/dispatch.cc): every call
   // that finishes or blocks at entry without a frame a wake must resume --
   // trivial calls, uncontended mutex lock/unlock, sleep, thread_interrupt,

@@ -261,9 +261,9 @@ void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
       // Cap one uninterrupted interpreter burst at 2^31 cycles (about two
       // virtual seconds). A budget-capped thread simply re-enters the
       // dispatch loop and is re-picked with the clock advanced, so long
-      // quiescent horizons still complete; the bound is what lets the
-      // threaded engine keep cycles and retired instructions in one packed
-      // 64-bit accumulator with no cross-word carries (see predecode.h).
+      // quiescent horizons still complete; the bound is what lets both
+      // engines keep cycles and retired instructions in one packed 64-bit
+      // account with no cross-word carries (see src/uvm/minitlb.h).
       constexpr uint64_t kMaxBurstCycles = 1ull << 31;
       if (budget > kMaxBurstCycles) {
         budget = kMaxBurstCycles;
@@ -370,10 +370,7 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
   // threads -- handled synchronously, outside the public API (section 5.6).
   if (sys >= kPsysBase) {
     HandlePseudoSyscall(t, sys);
-    Charge(costs.syscall_exit);
-    if constexpr (Instrumented) {
-      TraceEndSysSpan(t, sys, t->regs.gpr[kRegA]);
-    }
+    ExitSyscallT<Instrumented>(t, sys);
     return;
   }
 
@@ -382,10 +379,7 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
   const SyscallDef* def = sys < kSysCount ? syscalls_by_num_[sys] : nullptr;
   if (def == nullptr || def->handler == nullptr) {
     Finish(t, kFlukeErrBadArgument);
-    Charge(costs.syscall_exit);
-    if constexpr (Instrumented) {
-      TraceEndSysSpan(t, sys, kFlukeErrBadArgument);
-    }
+    ExitSyscallT<Instrumented>(t, sys);
     return;
   }
   t->op_sys = sys;
@@ -412,15 +406,8 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
         t->trace_block_t0 = clock.now();
       }
     } else {
-      if constexpr (Instrumented) {
-        TraceEndSysSpan(t, sys, t->regs.gpr[kRegA]);
-      }
       AccountFrameFree(t, def->frame_bytes);  // op.Reset()
-      uint64_t exit = costs.syscall_exit;
-      if (cfg.model == ExecModel::kInterrupt) {
-        exit += costs.interrupt_exit_extra;
-      }
-      Charge(exit);
+      ExitSyscallT<Instrumented>(t, sys);
     }
     ++stats.syscall_fast_entries;
     return;
@@ -429,6 +416,18 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
   t->op = def->handler(t->ctx);
   ResumeOp(t);
   HandleOpOutcomeT<Instrumented>(cpu, t);
+}
+
+template <bool Instrumented>
+void Kernel::ExitSyscallT(Thread* t, uint32_t sys) {
+  if constexpr (Instrumented) {
+    TraceEndSysSpan(t, sys, t->regs.gpr[kRegA]);
+  }
+  uint64_t exit = costs.syscall_exit;
+  if (cfg.model == ExecModel::kInterrupt) {
+    exit += costs.interrupt_exit_extra;
+  }
+  Charge(exit);
 }
 
 void Kernel::ResumeOp(Thread* t) {
@@ -461,17 +460,10 @@ void Kernel::HandleOpOutcomeT(Cpu& cpu, Thread* t) {
               // reaches for global mutable CPU state
   if (t->op.valid() && t->op.done()) {
     // The operation completed (co_return): result registers are final.
-    if constexpr (Instrumented) {
-      TraceEndSysSpan(t, t->op_sys, t->regs.gpr[kRegA]);
-    }
     SetFrameAccounting(this, t);
     t->op.Reset();
     t->resume_point = {};
-    uint64_t exit = costs.syscall_exit;
-    if (cfg.model == ExecModel::kInterrupt) {
-      exit += costs.interrupt_exit_extra;
-    }
-    Charge(exit);
+    ExitSyscallT<Instrumented>(t, t->op_sys);
     return;  // thread continues per its run_state (usually still kRunning)
   }
 

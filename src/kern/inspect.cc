@@ -202,8 +202,6 @@ std::string StatsJson(const Kernel& k) {
   field("tlb_hits", s.tlb_hits);
   field("tlb_misses", s.tlb_misses);
   field("tlb_flushes", s.tlb_flushes);
-  field("interp_block_charges", s.interp_block_charges);
-  field("interp_predecodes", s.interp_predecodes);
   field("jit_compiles", s.jit_compiles);
   field("jit_block_entries", s.jit_block_entries);
   field("jit_deopts", s.jit_deopts);

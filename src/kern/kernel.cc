@@ -25,8 +25,6 @@ Kernel::Kernel(const KernelConfig& config, ProgramRegistry* program_registry)
     cpus_[i].id = i;
   }
   interp_opts_.engine = cfg.interp_engine;
-  interp_opts_.block_charges = &stats.interp_block_charges;
-  interp_opts_.predecodes = &stats.interp_predecodes;
   interp_opts_.instructions = &stats.user_instructions;
   interp_opts_.jit_compiles = &stats.jit_compiles;
   interp_opts_.jit_block_entries = &stats.jit_block_entries;

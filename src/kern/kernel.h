@@ -449,6 +449,12 @@ class Kernel {
   void EnterSyscallT(Cpu& cpu, Thread* t);
   template <bool Instrumented>
   __attribute__((always_inline)) inline void HandleOpOutcomeT(Cpu& cpu, Thread* t);
+  // The one syscall-exit tail, for every call that completes: closes the
+  // call's trace span at the instant it completed, then charges the return
+  // to user mode (syscall_exit plus the interrupt model's extra). Result
+  // registers must be final.
+  template <bool Instrumented>
+  __attribute__((always_inline)) inline void ExitSyscallT(Thread* t, uint32_t sys);
   template <bool Instrumented>
   void HandleUserFaultT(Thread* t, uint32_t addr, bool is_write);
 

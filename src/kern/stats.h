@@ -118,27 +118,20 @@ struct KernelStats {
   uint64_t tlb_misses = 0;
   uint64_t tlb_flushes = 0;  // entries discarded by unmap/remap/teardown
 
-  // Threaded-interpreter accounting (src/uvm/interp.cc). Like the tlb_*
-  // counters these are host-side observability only, and are the only
-  // counters allowed to differ between threaded-dispatch-enabled and
-  // -disabled runs of the same workload.
-  uint64_t interp_block_charges = 0;  // whole-block batched cycle charges
-  uint64_t interp_predecodes = 0;     // programs decoded into side-tables
-
-  // JIT-engine accounting (src/uvm/jit.cc). Host-side observability only,
-  // same contract as interp_*: the only counters (with those and tlb_*)
-  // allowed to differ between engine variants of the same workload. A
-  // deopt is a compiled burst that bailed to the switch core (budget edge,
-  // fault, instrumentation) -- it still produces bit-identical results.
+  // JIT-engine accounting (src/uvm/jit.cc). Host-side observability only:
+  // with tlb_* the only counters allowed to differ between engine variants
+  // of the same workload. A deopt is a compiled burst that bailed to the
+  // switch core at a block whose charge would not fit the budget -- it
+  // still produces bit-identical results.
   uint64_t jit_compiles = 0;       // programs compiled into the arena
   uint64_t jit_block_entries = 0;  // basic blocks entered in compiled code
   uint64_t jit_deopts = 0;         // compiled bursts resumed by the switch core
   uint64_t jit_bytes = 0;          // host code bytes emitted
 
-  // Retired user instructions. Unlike the interp_* counters this is a
+  // Retired user instructions. Unlike the jit_* counters this is a
   // semantic count -- both engines retire the same instructions in the same
-  // order -- so it must be bit-identical between threaded and switch runs
-  // (and TLB on/off runs) of the same workload; the chaos tests compare it.
+  // order -- so it must be bit-identical between jit and switch runs (and
+  // TLB on/off runs) of the same workload; the chaos tests compare it.
   uint64_t user_instructions = 0;
 
   // Fault-injection accounting (src/kern/faultinject.h); all zero unless a

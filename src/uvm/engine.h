@@ -1,19 +1,17 @@
 // Interpreter engine selection, shared between the uvm layer (which
 // implements the engines) and the kernel config / CLI (which pick one).
 //
-// Three tiers, strongest contract in the middle:
-//   kSwitch   -- the portable fetch/decode/switch loop. Reference semantics.
-//   kThreaded -- computed-goto dispatch over the predecoded side-table with
-//                superinstruction fusion; bit-identical to kSwitch.
-//   kJit      -- per-basic-block template JIT emitting host code into a W^X
-//                arena; bit-identical to kSwitch, deopting to the switch
-//                core at block boundaries for anything non-straight-line.
+// Two tiers:
+//   kSwitch -- the portable fetch/decode/switch loop. Reference semantics.
+//   kJit    -- per-basic-block template JIT emitting host code into a W^X
+//              arena; bit-identical to kSwitch. Cold bursts, bursts whose
+//              entry block ends in a trap, and deopts run the switch core.
 //
-// Engines degrade gracefully: kThreaded without computed-goto support runs
-// kSwitch; kJit on a host without executable pages (or a non-x86-64 build)
-// runs kThreaded with a one-time logged warning. Degradation never changes
-// observable execution -- only host speed and host-side jit_*/interp_*
-// counters.
+// kJit on a host without executable pages (or a non-x86-64 build) runs
+// kSwitch with a one-time logged warning. Degradation never changes
+// observable execution -- only host speed and the host-side jit_* counters.
+// The numeric values are those the engines have always had (1 was the
+// computed-goto engine), so a printed KernelConfig reads the same.
 
 #ifndef SRC_UVM_ENGINE_H_
 #define SRC_UVM_ENGINE_H_
@@ -22,7 +20,6 @@ namespace fluke {
 
 enum class InterpEngine : int {
   kSwitch = 0,
-  kThreaded = 1,
   kJit = 2,
 };
 
@@ -30,8 +27,6 @@ inline const char* InterpEngineName(InterpEngine e) {
   switch (e) {
     case InterpEngine::kSwitch:
       return "switch";
-    case InterpEngine::kThreaded:
-      return "threaded";
     case InterpEngine::kJit:
       return "jit";
   }

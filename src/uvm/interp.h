@@ -65,23 +65,17 @@ struct RunResult {
   bool fault_is_write = false;
 };
 
-// Engine selection and host-side accounting for RunUser. The threaded
-// engine dispatches via computed goto over the program's predecoded
-// side-table and charges cycles per straight-line block; it requires
-// compiler support compiled in (ThreadedDispatchCompiledIn()) -- otherwise
-// the portable switch loop runs regardless of the request. The JIT engine
+// Engine selection and host-side accounting for RunUser. The JIT engine
 // runs compiled basic blocks from a per-program executable arena; it
 // requires an x86-64 build (JitCompiledIn()) and a host that grants
-// executable pages (JitAvailable()) -- otherwise it degrades to the
-// threaded engine with a one-time logged warning. All engines produce
-// bit-identical RunResults, register state and memory effects; the counters
-// are host-side observability only.
+// executable pages (JitAvailable()) -- otherwise the switch loop runs, with
+// a one-time logged warning. Both engines produce bit-identical RunResults,
+// register state and memory effects; the jit_* counters are host-side
+// observability only.
 struct InterpOptions {
-  InterpEngine engine = InterpEngine::kThreaded;
-  uint64_t* block_charges = nullptr;  // += 1 per whole-block cycle charge
-  uint64_t* predecodes = nullptr;     // += 1 per program decode performed
+  InterpEngine engine = InterpEngine::kJit;
   // += 1 per retired instruction. A semantic count, not an engine artifact:
-  // every engine must produce identical values for the same run (an
+  // both engines must produce identical values for the same run (an
   // instruction whose effect did not happen -- a faulting access, a
   // syscall/break trap re-executed on resume -- does not count).
   uint64_t* instructions = nullptr;
@@ -94,16 +88,12 @@ struct InterpOptions {
   uint64_t* jit_bytes = nullptr;
 };
 
-// True when the computed-goto engine was compiled in (GCC/Clang with the
-// FLUKE_INTERP_COMPUTED_GOTO CMake option, default ON).
-bool ThreadedDispatchCompiledIn();
-
 // True when the template JIT was compiled in (x86-64 Unix hosts).
 bool JitCompiledIn();
 
 // True when the host actually grants W^X executable pages (probed once).
 // False (e.g. under a hardened mmap policy) makes engine=kJit fall back to
-// the threaded engine at run time instead of crashing.
+// the switch engine at run time instead of crashing.
 bool JitAvailable();
 
 // Executes at most `budget_cycles` worth of instructions of `program`

@@ -1,20 +1,14 @@
 // The portable execution engine: fetch/decode/switch with a budget re-check
-// before every instruction. This loop is the reference semantics -- the
-// threaded engine (interp.cc) must be observation-equivalent to it, exit
-// for exit, cycle for cycle (tests/interp_dispatch_test.cc holds the two
-// together).
-//
-// Kept in its own translation unit so it is compiled at the project's
-// default flags: interp.cc carries codegen options tuned for computed-goto
-// dispatch (-fno-gcse and friends) that have no business shaping -- in
-// either direction -- the engine used as the correctness and performance
-// baseline.
+// before every instruction. This loop is the reference semantics -- the JIT
+// (jit.cc) must be observation-equivalent to it, exit for exit, cycle for
+// cycle (tests/interp_dispatch_test.cc holds the two together) -- and it is
+// also the JIT's deopt target and the engine for cold bursts and for bursts
+// whose entry block ends in a trap.
 
 #include <cstring>
 
 #include "src/uvm/interp.h"
 #include "src/uvm/minitlb.h"
-#include "src/uvm/predecode.h"  // kAcctInstr / kAcctCycleMask packing
 
 namespace fluke {
 namespace interp_internal {
@@ -33,7 +27,7 @@ RunResult RunUserSwitchCore(const Program& program, UserRegisters* regs,
   const Instr* code = program.code();
   const uint32_t code_size = program.size();
   uint32_t pc = regs->pc;
-  // Packed account (predecode.h layout): cycles in the low word, retired
+  // Packed account (minitlb.h layout): cycles in the low word, retired
   // instructions in the high word. Retired means everything that executed,
   // including Halt; not the trap ops (syscall/break) or a faulting access,
   // whose PC stays put and which re-execute on resume. One accumulator
@@ -237,6 +231,31 @@ done:
     *instr_counter += acct >> 32;
   }
   return result;
+}
+
+uint64_t InstrCost(Op op, uint32_t imm) {
+  switch (op) {
+    case Op::kMul:
+      return kCostAlu * 3;
+    case Op::kLoadB:
+    case Op::kStoreB:
+    case Op::kLoadW:
+    case Op::kStoreW:
+      return kCostMem;
+    case Op::kJmp:
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+      return kCostBranch;
+    case Op::kSyscall:
+    case Op::kBreak:
+      return 0;  // traps charge nothing; the kernel owns what happens next
+    case Op::kCompute:
+      return imm;
+    default:
+      return kCostAlu;  // Halt, Nop and the ALU/data-movement family
+  }
 }
 
 RunResult RunUserSwitch(const Program& program, UserRegisters* regs,

@@ -1,10 +1,9 @@
 // x86-64 template emitter and burst driver for the tier-2 JIT (see jit.h
-// for the execution contract). The emitter works from the RAW instruction
-// stream -- fused superinstructions are a threaded-engine dispatch artifact,
-// and emitting per raw op keeps every charge, fault un-charge and exit PC
-// aligned with the switch engine by construction -- while the block cycle
-// sums come from the predecoded side-table (DecodedInstr::block_acct), the
-// same values the threaded engine charges.
+// for the execution contract). The emitter works from the raw instruction
+// stream, one template per instruction, so every charge, fault un-charge
+// and exit PC lines up with the switch engine by construction; the block
+// cycle+retire sums baked into the entry stubs are computed here, at
+// compile time, from the switch core's InstrCost.
 //
 // Fixed register assignment inside compiled code:
 //   rbx  = JitFrame*                  (callee-saved, live everywhere)
@@ -17,15 +16,15 @@
 // (fluke_jit_*), reached when an access misses the MiniTlb last-page slot
 // or straddles a page; they run the exact switch-engine access sequence on
 // the frame's MiniTlb, so the bus -- and the kernel's tlb_* counters -- see
-// identical traffic from all three engines.
+// identical traffic from both engines.
 
 #include "src/uvm/jit.h"
 
+#include <cassert>
 #include <cstring>
 #include <vector>
 
 #include "src/uvm/minitlb.h"
-#include "src/uvm/predecode.h"
 
 #if defined(__x86_64__) && FLUKE_JIT_HAVE_MMAP
 #define FLUKE_JIT_SUPPORTED 1
@@ -367,17 +366,51 @@ void EmitHelperCall(Emitter& e, uint64_t helper) {
 
 namespace fluke {
 
-JitProgram::JitProgram(uint32_t code_size)
-    : code_size_(code_size), hot_(code_size, 0) {}
+namespace {
+
+// Ends a straight-line block: control does not fall through to the next
+// instruction.
+bool IsBlockEnd(Op op) {
+  switch (op) {
+    case Op::kHalt:
+    case Op::kJmp:
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kSyscall:
+    case Op::kBreak:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Ends a burst outright: no control transfer to another block follows.
+bool IsTrap(Op op) {
+  return op == Op::kSyscall || op == Op::kHalt || op == Op::kBreak;
+}
+
+}  // namespace
+
+JitProgram::JitProgram(const Program& program)
+    : one_block_(program.size()), hot_(program.size(), 0) {
+  // Backward scan: a block ending in a trap, or falling off the end (the
+  // bad-PC exit), is one block; a block ending in a jump or branch is not.
+  const Instr* code = program.code();
+  bool one = true;  // the end of the program
+  for (uint32_t i = program.size(); i-- > 0;) {
+    const Op op = code[i].op;
+    if (IsTrap(op)) {
+      one = true;
+    } else if (IsBlockEnd(op)) {
+      one = false;
+    }
+    one_block_[i] = one ? 1 : 0;
+  }
+}
 
 JitProgram::~JitProgram() = default;
-
-bool JitProgram::NoteEntry(uint32_t pc) {
-  if (pc >= hot_.size()) {
-    return false;  // bad-PC bursts never justify a compile
-  }
-  return ++hot_[pc] >= jit_internal::kJitHotThreshold;
-}
 
 #if FLUKE_JIT_SUPPORTED
 
@@ -386,14 +419,32 @@ bool JitProgram::Compile(const Program& program, const InterpOptions& opts) {
   if (ready_ || failed_) {
     return ready_;
   }
-  bool fresh = false;
-  const DecodedProgram& dec = program.Decoded(&fresh);
-  if (fresh && opts.predecodes != nullptr) {
-    ++*opts.predecodes;
-  }
+  using interp_internal::InstrCost;
+  using interp_internal::PackAcct;
   const Instr* code = program.code();
   const uint32_t n = program.size();
-  const DecodedInstr* side = dec.code();
+
+  // Packed block account of every instruction: its own cost and retire plus
+  // the rest of its straight-line block, inclusive. At a block head that is
+  // the entry stub's whole-block charge; at an interior load/store it is
+  // exactly the amount to un-charge when the access faults (the faulting
+  // instruction and the unexecuted tail). Traps retire nothing -- they
+  // re-execute on resume. The end-of-program sentinel charges nothing.
+  std::vector<uint64_t> block_acct(n + 1, 0);
+  for (uint32_t i = n; i-- > 0;) {
+    const Op op = code[i].op;
+    uint64_t cyc = InstrCost(op, code[i].imm);
+    uint32_t ret = (op == Op::kSyscall || op == Op::kBreak) ? 0u : 1u;
+    if (!IsBlockEnd(op)) {
+      cyc += block_acct[i + 1] & interp_internal::kAcctCycleMask;
+      ret += static_cast<uint32_t>(block_acct[i + 1] >> 32);
+    }
+    // The packed layout holds as long as no block's cycle sum reaches 2^32
+    // (a Compute immediate is the only way to approach it).
+    assert(cyc <= interp_internal::kAcctCycleMask &&
+           "block cycle sum overflows packed accounting");
+    block_acct[i] = PackAcct(ret, cyc);
+  }
 
   Emitter e;
   std::vector<int> entry_l(n + 1), body_l(n + 1);
@@ -560,7 +611,7 @@ bool JitProgram::Compile(const Program& program, const InterpOptions& opts) {
           e.MovRR32(ra, RAX);
         }
         e.Bind(resume_l);
-        slows.push_back({slow_l, resume_l, in.op, ra, i, side[i].block_acct});
+        slows.push_back({slow_l, resume_l, in.op, ra, i, block_acct[i]});
         break;
       }
       case Op::kJmp:
@@ -602,7 +653,8 @@ bool JitProgram::Compile(const Program& program, const InterpOptions& opts) {
 
   // --- Entry stubs --------------------------------------------------------
   // Charge the whole remaining block iff it fits STRICTLY under the budget
-  // (the threaded engine's NEXT_BLOCK rule); otherwise deopt with the PC at
+  // (then the switch loop's per-instruction budget check would pass at
+  // every instruction of the block); otherwise deopt with the PC at
   // this block boundary and the account uncommitted, and the switch core
   // finishes the burst instruction by instruction.
   std::vector<size_t> entry_off(n + 1);
@@ -610,7 +662,7 @@ bool JitProgram::Compile(const Program& program, const InterpOptions& opts) {
     e.Align16();  // stubs are loop-branch targets: keep them decode-aligned
     e.Bind(entry_l[i]);
     entry_off[i] = e.pos();
-    e.MovRImm64(RAX, side[i].block_acct);
+    e.MovRImm64(RAX, block_acct[i]);
     e.AluRR64(0x01, RAX, RBP);   // add rax, rbp -> account after this block
     // 32-bit compare of the cycle half against the budget's low dword:
     // exact because RunUserJit clamps the frame budget below 2^32 (the
@@ -756,7 +808,7 @@ RunResult RunUserJit(const Program& program, const JitProgram& jp,
                                               opts.instructions);
   }
 
-  result.cycles = f.acct & kAcctCycleMask;
+  result.cycles = f.acct & interp_internal::kAcctCycleMask;
   if (opts.instructions != nullptr) {
     *opts.instructions += f.acct >> 32;
   }

@@ -2,27 +2,34 @@
 //
 // Compiles a whole program into per-index host-code stubs on x86-64:
 //
-//   entry stub [i] -- charges block_acct[i] (the predecoded packed
-//       cycle+retire sum of instructions i..block end) iff it fits
-//       STRICTLY under the burst budget, exactly the rule the threaded
-//       engine's NEXT_BLOCK applies. When it does not fit, the stub
-//       deopts: registers, PC and the packed account are materialized
-//       into the JitFrame and RunUserJit finishes the burst in the
-//       resumable switch core (RunUserSwitchCore) with the same MiniTlb.
+//   entry stub [i] -- charges the packed cycle+retire sum of instructions
+//       i..block end (computed once by Compile and baked in as an
+//       immediate) iff it fits STRICTLY under the burst budget. When it
+//       does not fit, the stub deopts: registers, PC and the packed account
+//       are materialized into the JitFrame and RunUserJit finishes the
+//       burst in the resumable switch core (RunUserSwitchCore) with the
+//       same MiniTlb.
 //   body [i] -- the instruction's template. Straight-line ops fall
 //       through to body[i+1]; block-ending ops (branches, jmp, traps,
 //       halt) jump to the target's entry stub or exit. loadw/storew
 //       inline the MiniTlb last-page-slot probe and call out-of-line
 //       helpers on a miss, so the bus sees the same TranslateSpan
 //       pattern -- and the kernel the same tlb_* counters -- as the
-//       other two engines, access for access.
+//       switch core, access for access.
 //
 // Everything observable (RunResult, registers, memory, cycle and retired
 // instruction counts) is bit-identical to the switch engine; the jit_*
-// counters are host-side only. Compilation is lazy (per-entry-PC hotness
-// counter, threshold kJitHotThreshold; cold bursts run the threaded
-// engine); once compiled (Program::JitReady()) the arena is sealed and
-// never mutates again.
+// counters are host-side only. Three kinds of burst run the switch core
+// instead of compiled code:
+//   - one whose entry block ends in a trap (syscall, halt, break) or runs
+//     off the end of the program: such a burst is at most that one block,
+//     and entering compiled code costs more than it saves (OneBlock);
+//   - a cold one: compilation is lazy, on a per-entry-PC hotness counter
+//     (threshold kJitHotThreshold) that only the other bursts advance, so
+//     a program made only of trap-ended blocks never compiles;
+//   - any burst of a program whose compile the host refused (failed()).
+// Once compiled (Program::JitReady()) the arena is sealed and never
+// mutates again.
 
 #ifndef SRC_UVM_JIT_H_
 #define SRC_UVM_JIT_H_
@@ -43,9 +50,10 @@ struct MiniTlb;
 namespace jit_internal {
 
 // Bursts become hot -- and the program compiles -- on the second entry at
-// the same PC. The first burst runs the threaded engine (bit-identical
+// the same PC. The first burst runs the switch core (bit-identical
 // anyway), so one-shot programs never pay for emission.
 inline constexpr uint32_t kJitHotThreshold = 2;
+static_assert(kJitHotThreshold <= 255, "JitProgram::hot_ counts in bytes");
 
 // How compiled code exits back to the driver (JitFrame::exit_kind).
 enum JitExit : uint32_t {
@@ -62,7 +70,7 @@ enum JitExit : uint32_t {
 // append-only.
 struct JitFrame {
   uint32_t gpr[8];            // in/out: uvm registers
-  uint64_t acct;              // in/out: packed cycles|retires (predecode.h)
+  uint64_t acct;              // in/out: packed cycles|retires (minitlb.h)
   uint64_t budget;            // in: burst budget, cycles
   uint64_t block_entries;     // out: compiled blocks entered (charged)
   uint32_t exit_pc;           // out: uvm PC at exit
@@ -75,13 +83,13 @@ struct JitFrame {
 
 }  // namespace jit_internal
 
-// Per-program JIT state, cached on the Program like the decoded side-table
-// (Program::JitState). Holds the hotness counters while cold and the sealed
+// Per-program JIT state, cached on the Program (Program::JitState). Holds
+// the one-block flags, the hotness counters while cold, and the sealed
 // executable arena once compiled; destroyed -- unmapping the arena -- with
 // the program.
 class JitProgram {
  public:
-  explicit JitProgram(uint32_t code_size);
+  explicit JitProgram(const Program& program);
   ~JitProgram();
 
   JitProgram(const JitProgram&) = delete;
@@ -91,19 +99,32 @@ class JitProgram {
   // in this object mutates again.
   bool ready() const { return ready_; }
   // True when a compile was attempted and the host refused executable
-  // pages; the caller falls back to the threaded engine for good.
+  // pages; the caller runs the switch core for good.
   bool failed() const { return failed_; }
 
-  // Counts a burst entering at `pc` while cold; true once hot enough that
-  // the caller should Compile().
-  bool NoteEntry(uint32_t pc);
+  // True when a burst entering at `pc` is at most one block: the
+  // straight-line block there ends in a trap (syscall, halt, break) or runs
+  // off the end, or `pc` is already out of range. Such bursts run the
+  // switch core and count no hotness. Derived from the code alone.
+  bool OneBlock(uint32_t pc) const {
+    return pc >= one_block_.size() || one_block_[pc] != 0;
+  }
+
+  // Counts a burst entering at `pc` (a multi-block entry) while cold; true
+  // once hot enough that the caller should Compile().
+  bool NoteEntry(uint32_t pc) {
+    return ++hot_[pc] >= jit_internal::kJitHotThreshold;
+  }
 
   // Emits, patches and seals host code for the whole program. Returns
-  // ready(); on host refusal sets failed() instead. Counts
-  // the emission into opts.jit_compiles / opts.jit_bytes and a fresh
-  // predecode (the block sums come from Program::Decoded) into
-  // opts.predecodes.
+  // ready(); on host refusal sets failed() instead. Counts the emission
+  // into opts.jit_compiles / opts.jit_bytes.
   bool Compile(const Program& program, const InterpOptions& opts);
+
+  // Leaves the program in the state a refused compile leaves it in:
+  // failed(), never ready(). Compile reaches it when the host will not map
+  // or seal the arena; tests use it to drive the fallback on any host.
+  void MarkFailed() { failed_ = true; }
 
   size_t code_bytes() const { return code_bytes_; }
   const uint8_t* arena_base() const { return arena_.base(); }
@@ -120,10 +141,10 @@ class JitProgram {
  private:
   using Trampoline = void (*)(jit_internal::JitFrame*, const void*);
 
-  uint32_t code_size_;
   bool ready_ = false;
   bool failed_ = false;
-  std::vector<uint32_t> hot_;          // per-entry-PC burst counts (cold only)
+  std::vector<uint8_t> one_block_;     // per-entry-PC OneBlock flags
+  std::vector<uint8_t> hot_;           // per-entry-PC burst counts (cold only)
   jit_internal::JitArena arena_;
   size_t code_bytes_ = 0;
   std::vector<const void*> entry_;     // size + 1 stubs into the arena

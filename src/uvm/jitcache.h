@@ -10,7 +10,7 @@
 //
 // Hosts can refuse either step (hardened mmap policies, SELinux
 // execmem denials); both failure paths release the mapping and report
-// false so the caller can fall back to the threaded interpreter.
+// false so the caller can fall back to the switch interpreter.
 
 #ifndef SRC_UVM_JITCACHE_H_
 #define SRC_UVM_JITCACHE_H_
@@ -104,7 +104,7 @@ class JitArena {
 
   // One-shot probe: can this process map a page and make it executable?
   // Used by JitAvailable() so a denial becomes a logged fallback to the
-  // threaded engine instead of a per-program failure (or a crash).
+  // switch engine instead of a per-program failure (or a crash).
   static bool HostSupportsExecPages() {
     JitArena probe;
     if (!probe.Allocate(1)) {

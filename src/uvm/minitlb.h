@@ -1,7 +1,8 @@
-// Interpreter-local translation cache, shared by both execution engines.
+// The switch core's internal interface: the interpreter-local translation
+// cache, the packed cycle/retire account, and the resumable switch loop.
 //
-// 16 direct-mapped entries per access direction, living on RunUser's host
-// stack. An entry is (page, host base pointer) obtained from
+// The cache has 16 direct-mapped entries per access direction, living on
+// RunUser's host stack. An entry is (page, host base pointer) obtained from
 // MemoryBus::TranslateSpan; hits cost an index, a compare and a memcpy --
 // no virtual call, no page-table walk.
 //
@@ -10,9 +11,9 @@
 // the page table is only mutated inside kernel entries (syscalls, faults,
 // host-side setup), all of which end the run. The next RunUser starts cold.
 //
-// Shared by both engines (the portable switch loop and the threaded
-// dispatcher) so their bus access patterns -- and therefore the kernel's
-// tlb_* stats -- are identical instruction for instruction.
+// Shared by both engines (the switch loop, and the JIT's compiled code and
+// memory helpers) so their bus access patterns -- and therefore the
+// kernel's tlb_* stats -- are identical instruction for instruction.
 
 #ifndef SRC_UVM_MINITLB_H_
 #define SRC_UVM_MINITLB_H_
@@ -127,8 +128,8 @@ struct MiniTlb {
   // the last-page-slot probe by offsetof: a compiled loadw/storew compares
   // the page against r0page_/w0page_ and indexes off r0base_/w0base_
   // directly, falling back to a helper that calls ReadBase/WriteBase on the
-  // same instance -- so the bus sees the exact fill pattern the other two
-  // engines produce. Copying stays deleted; one instance per RunUser call.
+  // same instance -- so the bus sees the exact fill pattern the switch
+  // core produces. Copying stays deleted; one instance per RunUser call.
   uint32_t r0page_ = kNoPage;
   uint32_t w0page_ = kNoPage;
   uint8_t* r0base_ = nullptr;
@@ -140,18 +141,34 @@ struct MiniTlb {
   MemoryBus* bus_;
 };
 
-// The portable fetch/decode/switch engine (interp_switch.cc). Kept in its
-// own translation unit at the project's default optimization flags: it is
-// the reference semantics and the faithful pre-threading baseline, while
-// interp.cc carries interpreter-specific codegen flags that would otherwise
-// skew it.
+// Packed accounting: cycles in the low word, retired instructions in the
+// high word. The switch core's running account, the JIT's per-block charges
+// (computed by JitProgram::Compile and baked into its entry stubs) and
+// JitFrame::acct all share this layout. The halves never interact: the
+// kernel caps a burst at 2^31 cycles and a block is one straight-line run
+// of a single program, so the cycle half stays under 2^32 and
+// componentwise add/subtract cannot carry or borrow across bit 32.
+inline constexpr uint64_t kAcctInstr = 1ull << 32;  // one retired instruction
+inline constexpr uint64_t kAcctCycleMask = kAcctInstr - 1;
+inline constexpr uint64_t PackAcct(uint32_t instrs, uint64_t cycles) {
+  return (static_cast<uint64_t>(instrs) << 32) | cycles;
+}
+
+// Static cycle cost of one instruction -- must mirror the switch core's
+// per-instruction charges exactly (the JIT's block sums are built from it;
+// tests/interp_dispatch_test.cc holds the two engines together).
+uint64_t InstrCost(Op op, uint32_t imm);
+
+// The portable fetch/decode/switch engine (interp_switch.cc): the reference
+// semantics, the JIT's deopt target, and the engine for cold and one-block
+// bursts.
 RunResult RunUserSwitch(const Program& program, UserRegisters* regs,
                         MemoryBus* bus, uint64_t budget_cycles,
                         uint64_t* instr_counter = nullptr);
 
 // Resumable form of the switch loop, used as the JIT's deopt target: picks
 // up mid-burst with an already-accumulated packed account (`acct_in`,
-// predecode.h layout) and the caller's MiniTlb, so a burst that started in
+// layout above) and the caller's MiniTlb, so a burst that started in
 // compiled code and fell back finishes with exactly the cycles, retired
 // instructions, register state and bus access pattern the switch engine
 // alone would have produced. The returned cycles and the instr_counter

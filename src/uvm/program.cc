@@ -11,10 +11,8 @@ Program::Program(std::string name, std::vector<Instr> code)
 
 Program::~Program() = default;
 
-JitProgram& Program::JitState() const {
-  if (jit_ == nullptr) {
-    jit_ = std::make_unique<JitProgram>(size());
-  }
+JitProgram& Program::JitStateSlow() const {
+  jit_ = std::make_unique<JitProgram>(*this);
   return *jit_;
 }
 
@@ -28,14 +26,6 @@ void ProgramRegistry::Register(ProgramRef program) {
 ProgramRef ProgramRegistry::Find(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : it->second;
-}
-
-DecodedProgram& Program::DecodedSlow(bool* fresh) const {
-  decoded_ = std::make_unique<DecodedProgram>(code_.data(), size());
-  if (fresh != nullptr) {
-    *fresh = true;
-  }
-  return *decoded_;
 }
 
 Assembler::Label Assembler::NewLabel() {

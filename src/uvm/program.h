@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/uvm/instr.h"
-#include "src/uvm/predecode.h"
 
 namespace fluke {
 
@@ -42,38 +41,25 @@ class Program {
   const Instr* code() const { return code_.data(); }
   uint32_t size() const { return static_cast<uint32_t>(code_.size()); }
 
-  // Decoded side-table for the threaded-dispatch interpreter, built lazily
-  // on first use and shared by every thread running this program (the code
-  // is immutable, so the cache never invalidates). When `fresh` is non-null
-  // it is set to true only if this call performed the build -- callers use
-  // it to count predecodes; it is left untouched on a cache hit. The result
-  // is non-const because the engine links handler addresses into the cached
-  // table on first run (DecodedProgram::Link); the instruction fields
-  // themselves never change after the build.
-  DecodedProgram& Decoded(bool* fresh = nullptr) const {
-    // Cache hit is the per-burst steady state: one load, no call.
-    if (decoded_ != nullptr) {
-      return *decoded_;
-    }
-    return DecodedSlow(fresh);
-  }
-
-  // Per-program JIT state (hotness counters, then the sealed executable
-  // arena), created on first use by the jit engine and destroyed -- arena
-  // unmapped -- with the program. Same caching discipline as Decoded().
+  // Per-program JIT state (one-block flags and hotness counters, then the
+  // sealed executable arena), created on first use by the jit engine and
+  // shared by every thread running this program (the code is immutable, so
+  // it never invalidates); destroyed -- arena unmapped -- with the program.
   // JitReady() is true once the program is compiled and sealed (tests use
   // it to observe hotness).
-  JitProgram& JitState() const;
+  JitProgram& JitState() const {
+    // Built once per program; every later burst is this one load.
+    return jit_ != nullptr ? *jit_ : JitStateSlow();
+  }
   bool JitReady() const;
 
  private:
-  DecodedProgram& DecodedSlow(bool* fresh) const;
+  JitProgram& JitStateSlow() const;
 
   std::string name_;
   std::vector<Instr> code_;
-  // Lazy per-program caches. The simulator is single-threaded (one kernel
-  // event loop), so no synchronisation is needed around the builds.
-  mutable std::unique_ptr<DecodedProgram> decoded_;
+  // Lazy per-program JIT state. The simulator is single-threaded (one
+  // kernel event loop), so no synchronisation is needed around the build.
   mutable std::unique_ptr<JitProgram> jit_;
 };
 

@@ -27,8 +27,8 @@ namespace fluke {
 
 // Everything the golden run can observe about a finished workload. The
 // extraction-swept runs must match it exactly. Engine-observability
-// counters (tlb_*, interp_*) are deliberately excluded -- they are allowed
-// to differ across engines and across shared predecode caches -- but
+// counters (tlb_*, jit_*) are deliberately excluded -- they are allowed to
+// differ across engines and across shared per-program JIT state -- but
 // user_instructions is included: it is semantic.
 struct AuditSnapshot {
   UserRegisters regs{};

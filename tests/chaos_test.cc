@@ -32,17 +32,17 @@ class ChaosTest : public testing::TestWithParam<KernelConfig> {};
 // ---------------------------------------------------------------------------
 
 TEST_P(ChaosTest, AtomicitySweepIsBitIdenticalAtEveryBoundary) {
-  for (const bool threaded : {false, true}) {
+  for (const bool jit : {false, true}) {
     KernelConfig cfg = GetParam();
-    cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
+    cfg.interp_engine = jit ? InterpEngine::kJit : InterpEngine::kSwitch;
     const ProgramRef prog = BuildAuditProgram(SimpleWorld::kAnonBase);
     const AuditResult r =
         RunAtomicityAudit(cfg, prog, SimpleWorld::kAnonBase, SimpleWorld::kAnonSize);
-    ASSERT_TRUE(r.ok) << (threaded ? "threaded" : "switch") << " engine: " << r.error
+    ASSERT_TRUE(r.ok) << (jit ? "jit" : "switch") << " engine: " << r.error
                       << "\n" << r.divergent_dump;
     // The ISSUE floor: the workload must expose at least 200 distinct
     // extraction points, and every single one must have been audited.
-    EXPECT_GE(r.boundaries, 200u) << (threaded ? "threaded" : "switch");
+    EXPECT_GE(r.boundaries, 200u) << (jit ? "jit" : "switch");
     EXPECT_EQ(r.audited, r.boundaries);
   }
 }
@@ -65,8 +65,8 @@ struct DetRun {
   bool quiesced = false;
 };
 
-DetRun RunSeeded(KernelConfig cfg, bool threaded, uint64_t seed = 0xC0FFEE) {
-  cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
+DetRun RunSeeded(KernelConfig cfg, bool jit, uint64_t seed = 0xC0FFEE) {
+  cfg.interp_engine = jit ? InterpEngine::kJit : InterpEngine::kSwitch;
   cfg.fault_plan.enabled = true;
   cfg.fault_plan.seed = seed;
   cfg.fault_plan.fail_frame_permille = 120;  // ~12% of frame allocs fail
@@ -93,9 +93,9 @@ DetRun RunSeeded(KernelConfig cfg, bool threaded, uint64_t seed = 0xC0FFEE) {
 }  // namespace
 
 TEST_P(ChaosTest, SeededPlanReplaysIdenticallyAcrossRunsAndEngines) {
-  const DetRun a = RunSeeded(GetParam(), /*threaded=*/false);
-  const DetRun b = RunSeeded(GetParam(), /*threaded=*/false);
-  const DetRun c = RunSeeded(GetParam(), /*threaded=*/true);
+  const DetRun a = RunSeeded(GetParam(), /*jit=*/false);
+  const DetRun b = RunSeeded(GetParam(), /*jit=*/false);
+  const DetRun c = RunSeeded(GetParam(), /*jit=*/true);
   ASSERT_TRUE(a.quiesced);
   // Same engine, same seed: everything replays, including the dump.
   EXPECT_EQ(a.digest, b.digest);
@@ -124,9 +124,9 @@ TEST_P(ChaosTest, MpSeededPlanSweepReplaysIdentically) {
   for (const uint64_t seed : {uint64_t{0xC0FFEE}, uint64_t{7}, uint64_t{0xDECADE}}) {
     KernelConfig cfg = GetParam();
     cfg.num_cpus = 4;
-    const DetRun a = RunSeeded(cfg, /*threaded=*/false, seed);
-    const DetRun b = RunSeeded(cfg, /*threaded=*/false, seed);
-    const DetRun c = RunSeeded(cfg, /*threaded=*/true, seed);
+    const DetRun a = RunSeeded(cfg, /*jit=*/false, seed);
+    const DetRun b = RunSeeded(cfg, /*jit=*/false, seed);
+    const DetRun c = RunSeeded(cfg, /*jit=*/true, seed);
     ASSERT_TRUE(a.quiesced) << "seed " << seed;
     EXPECT_EQ(a.digest, b.digest) << "seed " << seed;
     EXPECT_EQ(a.injected, b.injected) << "seed " << seed;

@@ -52,7 +52,7 @@ std::vector<KernelConfig> AllConfigsBothEngines() {
   std::vector<KernelConfig> v;
   for (const KernelConfig& c : AllPaperConfigs()) {
     KernelConfig on = c;
-    on.interp_engine = InterpEngine::kThreaded;
+    on.interp_engine = InterpEngine::kJit;
     v.push_back(on);
     KernelConfig off = c;
     off.interp_engine = InterpEngine::kSwitch;
@@ -68,6 +68,8 @@ std::string EngineConfigName(const testing::TestParamInfo<KernelConfig>& info) {
       c = '_';
     }
   }
+  // "_goto" names the jit leg: the suffix dates from the computed-goto
+  // engine this leg used to run, and is kept so test names stay stable.
   return s + (info.param.interp_engine == InterpEngine::kSwitch ? "_switch" : "_goto");
 }
 

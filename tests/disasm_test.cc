@@ -125,20 +125,17 @@ TEST(Disasm, RoundTripRandomPrograms) {
   }
 }
 
-// --- Superinstruction source shapes ---
+// --- Adjacent-op source shapes ---
 //
-// The threaded/jit decoders fuse adjacent pairs (simple ALU followed by a
-// simple ALU or an in-range conditional branch; word load/store followed by
-// AddImm) and triples (word access + AddImm + branch) into one dispatch.
-// Fusion lives entirely in the decoded side-table, so Disassemble must print
-// the *component* instructions and ParseAsm must rebuild a stream the decoder
-// re-fuses identically. These tests pin that: every fusable shape round-trips
-// through Disassemble -> ParseAsm with identical execution (the Execute runs
-// use the default engine, so the re-fused decode actually runs).
+// Every adjacent simple-ALU pair, ALU + conditional-branch pair, and word
+// access + AddImm (+ branch) shape round-trips through Disassemble ->
+// ParseAsm with identical execution. The Execute runs use the default
+// engine, so the shapes also run back to back through the JIT's
+// per-instruction templates.
 
 TEST(Disasm, RoundTripAluPairShapes) {
   // All 8x8 simple-ALU pair combinations, adjacent, separated by a
-  // non-fusable barrier (mul) so each intended pair is what the decoder sees.
+  // barrier (mul) so each intended pair stands on its own.
   using AluEmit = void (*)(Assembler&, int, int, int);
   const AluEmit kAlu[] = {
       [](Assembler& a, int d, int s, int t) { a.Add(d, s, t); },
@@ -158,7 +155,7 @@ TEST(Disasm, RoundTripAluPairShapes) {
     for (const AluEmit second : kAlu) {
       first(a, kRegB, kRegB, kRegD);
       second(a, kRegB, kRegB, kRegSI);
-      a.Mul(kRegD, kRegD, kRegSI);  // barrier: mul never fuses
+      a.Mul(kRegD, kRegD, kRegSI);  // barrier between pairs
       a.AddImm(kRegD, kRegD, 1);
     }
   }
@@ -177,7 +174,7 @@ TEST(Disasm, RoundTripAluPairShapes) {
 }
 
 TEST(Disasm, RoundTripAluBranchPairShapes) {
-  // All 8 ALU firsts x 4 branch seconds, each as a small loop so the fused
+  // All 8 ALU firsts x 4 branch seconds, each as a small loop so the
   // pair's branch executes both taken and not-taken. blt/bne use a back-edge
   // shape; beq/bge a forward-exit shape (their conditions fire on loop end).
   using AluEmit = void (*)(Assembler&, int, int, int);
@@ -201,7 +198,7 @@ TEST(Disasm, RoundTripAluBranchPairShapes) {
       const auto loop = a.NewLabel();
       const auto done = a.NewLabel();
       a.Bind(loop);
-      a.AddImm(kRegD, kRegD, 1);      // counter (not a fusable pair: next is mul)
+      a.AddImm(kRegD, kRegD, 1);      // counter (not part of the pair: next is mul)
       a.Mul(kRegA, kRegD, kRegSI);    // barrier before the intended pair
       alu(a, kRegB, kRegB, kRegA);    // pair first
       switch (br) {                   // pair second: the loop-control branch

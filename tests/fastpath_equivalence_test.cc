@@ -8,7 +8,7 @@
 // registers and restart points, same memory, and the same value for every
 // semantic statistics counter (Table 3/5/7 inputs). Only the host-side
 // observability counters -- syscall_fast_entries, ipc_fast_handoffs, tlb_*,
-// interp_*, ipc_page_lends -- may differ, and none of them appear in the
+// jit_*, ipc_page_lends -- may differ, and none of them appear in the
 // comparison below.
 //
 // Coverage: five paper configurations x both interpreter engines x the
@@ -430,11 +430,16 @@ Snapshot RunSetStateFramelessBlocks(KernelConfig cfg, bool traced) {
 // The equivalence sweep.
 // ---------------------------------------------------------------------------
 
+// Both interpreter engines. Armed and traced legs run the switch core under
+// either setting -- the instrumented dispatch path uses interp_opts_instr_,
+// which downgrades the JIT -- so there the jit leg re-checks the switch leg.
+constexpr InterpEngine kEngines[] = {InterpEngine::kSwitch, InterpEngine::kJit};
+
 void ExpectEquivalent(const KernelConfig& base, WorkloadFn run, const char* what,
                       bool expect_entries, bool expect_handoffs, bool traced = false) {
-  for (const bool threaded : {false, true}) {
+  for (const InterpEngine engine : kEngines) {
     KernelConfig off = base;
-    off.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
+    off.interp_engine = engine;
     off.fast_path = false;
     KernelConfig on = off;
     on.fast_path = true;
@@ -442,7 +447,7 @@ void ExpectEquivalent(const KernelConfig& base, WorkloadFn run, const char* what
     const Snapshot slow = run(off, traced);
     const Snapshot fast = run(on, traced);
     const std::string tag =
-        std::string(what) + " [" + base.Label() + (threaded ? " threaded]" : " switch]");
+        std::string(what) + " [" + base.Label() + " " + InterpEngineName(engine) + "]";
 
     // Bit-identical virtual results (and, traced, the same trace stream and
     // histograms apart from the kIpcFastHandoff instants).
@@ -515,10 +520,24 @@ TEST_P(FastPathEquivalenceTest, SetThreadStateOnFramelessBlocksBitIdentical) {
 // stream itself must not tell the routes apart: a fast call's span closes
 // before the syscall-exit charge, as HandleOpOutcome closes it, and every
 // chunk/flow/block event matches. Only the kIpcFastHandoff instants, which
-// mark the fast route on purpose, are left out.
+// mark the fast route on purpose, are left out. The digest carries every
+// event's timestamp, so a wrong charge shows at the next event even where
+// an idle stretch would absorb it before the end clock. Every builder that
+// can trace runs here (flukeperf's RunFlukeperf owns its kernel untraced).
 TEST_P(FastPathEquivalenceTest, TracedRunsMatchExceptHandoffInstants) {
-  for (const WorkloadFn run : {RunTrivialMix, RunRpcPingPong, RunC1mEarlySweep}) {
-    ExpectEquivalent(GetParam(), run, "traced", true, false, /*traced=*/true);
+  const std::pair<const char*, WorkloadFn> kBuilders[] = {
+      {"traced trivial-mix", RunTrivialMix},
+      {"traced rpc-ping-pong", RunRpcPingPong},
+      {"traced audit-program", RunAuditProgram},
+      {"traced c1m", RunC1mAutoSweep},
+      {"traced c1m-early-sweep", RunC1mEarlySweep},
+      {"traced contended-mutex", RunContendedMutex},
+      {"traced kmsg-to-waiting-server", RunKmsgToWaitingServer},
+      {"traced interrupt-frameless", RunInterruptFramelessBlocks},
+      {"traced set-state-frameless", RunSetStateFramelessBlocks},
+  };
+  for (const auto& [what, run] : kBuilders) {
+    ExpectEquivalent(GetParam(), run, what, true, false, /*traced=*/true);
   }
 }
 
@@ -527,10 +546,10 @@ TEST_P(FastPathEquivalenceTest, TracedRunsMatchExceptHandoffInstants) {
 // run with fast_path=true is identical -- including the fault-injection
 // schedule digest -- to the run with fast_path=false.
 TEST_P(FastPathEquivalenceTest, ArmedFaultPlanForcesSlowPathAndConverges) {
-  for (const bool threaded : {false, true}) {
+  for (const InterpEngine engine : kEngines) {
     for (const WorkloadFn run : {RunTrivialMix, RunRpcPingPong}) {
       KernelConfig off = GetParam();
-      off.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
+      off.interp_engine = engine;
       off.fault_plan.enabled = true;
       off.fault_plan.seed = 0xFA57;
       off.fast_path = false;
@@ -540,7 +559,7 @@ TEST_P(FastPathEquivalenceTest, ArmedFaultPlanForcesSlowPathAndConverges) {
       const Snapshot slow = run(off, false);
       const Snapshot fast = run(on, false);
       const std::string tag =
-          std::string("armed [") + GetParam().Label() + (threaded ? " threaded]" : " switch]");
+          std::string("armed [") + GetParam().Label() + " " + InterpEngineName(engine) + "]";
       EXPECT_EQ(fast.fast_entries, 0u) << tag;
       EXPECT_EQ(fast.ipc_handoffs, 0u) << tag;
       EXPECT_EQ(slow.final_time, fast.final_time) << tag;

@@ -1,22 +1,21 @@
 // Interpreter-engine determinism tests (src/uvm/interp.cc,
-// src/uvm/predecode.h, src/uvm/jit.cc).
+// src/uvm/interp_switch.cc, src/uvm/jit.cc).
 //
-// The threaded and jit engines are host-side execution strategies only: any
-// program, any budget, any fault pattern must produce bit-identical
-// RunResults, registers, memory and kernel statistics under all three
-// engines (switch reference, threaded dispatch, template JIT). Two layers
-// of proof:
-//   1. Direct lockstep: run the same program under every available engine
-//      for *every* budget value (and in resumed bursts), comparing full
-//      machine state against the switch reference. The budget sweep lands
-//      an exhaustion on every instruction of every block, including
-//      mid-block and exactly-at-a-zero-cost-trap -- for the jit engine that
-//      exercises the deopt path on every block boundary.
+// The jit engine is a host-side execution strategy only: any program, any
+// budget, any fault pattern must produce bit-identical RunResults,
+// registers, memory and kernel statistics under both engines (switch
+// reference, template JIT). Two layers of proof:
+//   1. Direct lockstep: run the same program under both engines for
+//      *every* budget value (and in resumed bursts), comparing full machine
+//      state against the switch reference. The budget sweep lands an
+//      exhaustion on every instruction of every block, including mid-block
+//      and exactly-at-a-zero-cost-trap -- for the jit engine that exercises
+//      the deopt path on every block boundary.
 //   2. Kernel A/B (modeled on tlb_test.cc): a workload with user loops,
 //      soft faults, IPC and a breakpoint, across the five paper configs,
 //      comparing end time, console, memory, final thread registers and all
-//      pre-existing stats (interp_*/jit_* counters excepted, by
-//      definition) pairwise against the switch engine.
+//      pre-existing stats (jit_* counters excepted, by definition)
+//      pairwise against the switch engine.
 
 #include <algorithm>
 #include <cstring>
@@ -109,14 +108,10 @@ struct MachineState {
 
 constexpr uint32_t kMemSize = 64 * 1024;
 
-// Engines to compare: the switch reference always, the others when they are
-// compiled in / usable on this host (a jit entry also requires the host to
-// grant executable pages).
+// Engines to compare: the switch reference always, the jit when it is
+// compiled in and the host grants executable pages.
 std::vector<InterpEngine> TestEngines() {
   std::vector<InterpEngine> engines = {InterpEngine::kSwitch};
-  if (ThreadedDispatchCompiledIn()) {
-    engines.push_back(InterpEngine::kThreaded);
-  }
   if (JitCompiledIn() && JitAvailable()) {
     engines.push_back(InterpEngine::kJit);
   }
@@ -260,15 +255,21 @@ TEST(InterpLockstep, ResumedBurstsOnMixedProgram) {
 }
 
 // Budget running out exactly at a zero-cost trap: the trap must NOT fire.
+// Entered at pc 0 the block ends in the trap, so the jit leg runs the
+// switch core; entered at pc 3 a jump reaches the trap through compiled
+// code once the program is hot.
 TEST(InterpLockstep, BudgetExactlyExhaustedAtTrap) {
   for (Op trap : {Op::kSyscall, Op::kBreak}) {
     std::vector<Instr> code;
     code.push_back(Instr{Op::kCompute, 0, 0, 0, 5});
     code.push_back(Instr{trap, 0, 0, 0, 0});
     code.push_back(Instr{Op::kHalt, 0, 0, 0, 0});
+    code.push_back(Instr{Op::kCompute, 0, 0, 0, 3});
+    code.push_back(Instr{Op::kJmp, 0, 0, 0, 1});
     Program p("trap-edge", code);
     for (uint64_t budget = 0; budget <= 8; ++budget) {
       ExpectLockstep(p, budget, 1);
+      ExpectLockstep(p, budget, 1, 1, 0, /*start_pc=*/3);
     }
     // The reference semantics themselves: budget 5 is exhausted at the
     // trap's door, so the exit is kBudget with PC resting on the trap.
@@ -281,9 +282,14 @@ TEST(InterpLockstep, BudgetExactlyExhaustedAtTrap) {
 
 TEST(InterpLockstep, MidBlockFaultAndRetry) {
   // Straight-line block of stores walking into a fault window; after the
-  // fault, clearing the window and re-running (same PC) must resume.
+  // fault, clearing the window and re-running (same PC) must resume. The
+  // entry block ends in a jump, so once hot the jit leg runs the stores in
+  // compiled code.
   Assembler a("faulter");
+  const auto stores = a.NewLabel();
   a.MovImm(kRegB, 0x200);
+  a.Jmp(stores);
+  a.Bind(stores);
   for (int i = 0; i < 8; ++i) {
     a.AddImm(kRegC, kRegC, 3);
     a.StoreW(kRegC, kRegB, 0);
@@ -350,25 +356,31 @@ TEST(InterpLockstep, BadPcVariants) {
   }
 }
 
+// The jit's block charges and its per-program compile: blocks are entered
+// in compiled code, the program compiles once, and the compile is cached on
+// the Program.
 TEST(InterpCounters, BlockChargesAndPredecodesMove) {
-  if (!ThreadedDispatchCompiledIn()) {
-    GTEST_SKIP() << "computed-goto engine not compiled in";
+  if (!JitCompiledIn() || !JitAvailable()) {
+    GTEST_SKIP() << "no jit on this host";
   }
   ProgramRef p = MixedProgram();
-  UserRegisters regs;
   FlatBus bus(kMemSize);
-  uint64_t charges = 0, predecodes = 0;
+  uint64_t entries = 0, compiles = 0;
   InterpOptions opts;
-  opts.engine = InterpEngine::kThreaded;
-  opts.block_charges = &charges;
-  opts.predecodes = &predecodes;
+  opts.engine = InterpEngine::kJit;
+  opts.jit_block_entries = &entries;
+  opts.jit_compiles = &compiles;
+  // The first entry at pc 0 is cold; the second compiles and runs compiled.
+  for (int i = 0; i < 2; ++i) {
+    UserRegisters regs;
+    (void)RunUser(*p, &regs, &bus, 1u << 30, opts);
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(compiles, 1u);
+  // A second run compiles nothing.
+  UserRegisters regs;
   (void)RunUser(*p, &regs, &bus, 1u << 30, opts);
-  EXPECT_GT(charges, 0u);
-  EXPECT_EQ(predecodes, 1u);
-  // The decode is cached on the Program: a second run re-decodes nothing.
-  UserRegisters regs2;
-  (void)RunUser(*p, &regs2, &bus, 1u << 30, opts);
-  EXPECT_EQ(predecodes, 1u);
+  EXPECT_EQ(compiles, 1u);
 }
 
 // --- Kernel A/B determinism across the five paper configurations ---
@@ -471,9 +483,7 @@ TEST_P(InterpDeterminismTest, VirtualTimeAndStatsIdenticalAcrossEngines) {
   EXPECT_GT(b.user_faults, 0u);
   const int kStopped = static_cast<int>(ThreadRun::kStopped);
   EXPECT_EQ(std::count(ref.final_states.begin(), ref.final_states.end(), kStopped), 1);
-  // The reference engine never batches, predecodes or compiles.
-  EXPECT_EQ(b.interp_block_charges, 0u);
-  EXPECT_EQ(b.interp_predecodes, 0u);
+  // The reference engine never compiles.
   EXPECT_EQ(b.jit_compiles, 0u);
   EXPECT_EQ(b.jit_block_entries, 0u);
 
@@ -529,15 +539,10 @@ TEST_P(InterpDeterminismTest, VirtualTimeAndStatsIdenticalAcrossEngines) {
     EXPECT_EQ(a.probe_runs, b.probe_runs);
     EXPECT_EQ(a.probe_misses, b.probe_misses);
 
-    // And each engine actually did its thing.
-    if (engine == InterpEngine::kThreaded) {
-      EXPECT_GT(a.interp_block_charges, 0u);
-      EXPECT_GT(a.interp_predecodes, 0u);
-    } else if (engine == InterpEngine::kJit) {
-      EXPECT_GT(a.jit_compiles, 0u);
-      EXPECT_GT(a.jit_block_entries, 0u);
-      EXPECT_GT(a.jit_bytes, 0u);
-    }
+    // And the jit actually ran compiled code.
+    EXPECT_GT(a.jit_compiles, 0u);
+    EXPECT_GT(a.jit_block_entries, 0u);
+    EXPECT_GT(a.jit_bytes, 0u);
   }
 }
 

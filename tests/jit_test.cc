@@ -3,7 +3,9 @@
 // Engine-equivalence proofs live in interp_dispatch_test.cc (the jit engine
 // participates in every lockstep sweep and the kernel A/B there). This file
 // covers the machinery itself: the W^X arena lifecycle, lazy compilation
-// and its hotness threshold, per-program cache teardown/recompilation, and
+// and its hotness threshold, the one-block rule (bursts whose entry block
+// ends in a trap run the switch core and count no hotness), the fallback
+// after a refused compile, per-program cache teardown/recompilation, and
 // the deopt contract -- a compiled burst that bails must materialize
 // registers, PC and the cycle account exactly where the switch engine
 // would leave them.
@@ -163,7 +165,7 @@ TEST(JitCompile, LazyHotnessThreshold) {
   opts.jit_block_entries = &entries;
   opts.jit_bytes = &bytes;
 
-  // Burst 1 from pc 0: cold, runs the threaded tier, no compile.
+  // Burst 1 from pc 0: cold, runs the switch core, no compile.
   UserRegisters cold;
   (void)RunUser(*p, &cold, &bus, 1u << 20, opts);
   EXPECT_EQ(compiles, 0u);
@@ -258,9 +260,14 @@ TEST(JitDeopt, MidBlockFaultUnchargesSuffix) {
   SKIP_WITHOUT_JIT();
   // A straight-line block of stores walking into a fault window: the
   // faulting store must report the cycles of the instructions that
-  // actually retired, not the whole charged block.
+  // actually retired, not the whole charged block. The entry block ends in
+  // a jump, so bursts enter compiled code (a burst whose entry block ends
+  // in the halt would be one block, and run the switch core).
   Assembler a("jitfault");
+  const auto stores = a.NewLabel();
   a.MovImm(kRegB, 0x200);
+  a.Jmp(stores);
+  a.Bind(stores);
   for (int i = 0; i < 6; ++i) {
     a.AddImm(kRegC, kRegC, 1);
     a.StoreW(kRegC, kRegB, 0);
@@ -297,6 +304,147 @@ TEST(JitDeopt, MidBlockFaultUnchargesSuffix) {
   EXPECT_EQ(y.cycles, x.cycles);
   EXPECT_EQ(rb.pc, ra.pc);
   EXPECT_EQ(ba.mem(), bb.mem());
+}
+
+// Runs one burst of `p` from `pc` under `engine` on a fresh bus and
+// registers, returning the whole observable outcome.
+struct Burst {
+  RunResult r;
+  UserRegisters regs;
+  std::vector<uint8_t> mem;
+  uint64_t instrs = 0;
+};
+
+Burst RunOne(const Program& p, InterpEngine engine, uint32_t pc, uint64_t budget,
+             uint64_t* entries = nullptr, uint64_t* compiles = nullptr) {
+  Burst b;
+  FlatBus bus(kMemSize);
+  b.regs.pc = pc;
+  b.regs.gpr[kRegC] = 0x100;
+  InterpOptions opts;
+  opts.engine = engine;
+  opts.instructions = &b.instrs;
+  opts.jit_block_entries = entries;
+  opts.jit_compiles = compiles;
+  b.r = RunUser(p, &b.regs, &bus, budget, opts);
+  b.mem = bus.mem();
+  return b;
+}
+
+void ExpectSameBurst(const Burst& x, const Burst& y, const char* what) {
+  EXPECT_EQ(x.r.event, y.r.event) << what;
+  EXPECT_EQ(x.r.cycles, y.r.cycles) << what;
+  EXPECT_EQ(x.r.fault_addr, y.r.fault_addr) << what;
+  EXPECT_EQ(x.r.fault_is_write, y.r.fault_is_write) << what;
+  EXPECT_EQ(x.regs, y.regs) << what;
+  EXPECT_EQ(x.instrs, y.instrs) << what;
+  EXPECT_EQ(x.mem, y.mem) << what;
+}
+
+// After a compile, a burst entering at a trap-ended block runs the switch
+// core: it enters no compiled block, and matches a switch burst exactly. A
+// burst entering at the loop runs compiled code. The block at kTrapPc is
+// what a client resumes at after each syscall when it makes one call per
+// burst.
+TEST(JitEntry, TrapEndedEntryRunsTheSwitchCoreAfterCompile) {
+  SKIP_WITHOUT_JIT();
+  constexpr uint32_t kTrapPc = 6;
+  Assembler a("jitlooptrap");
+  const auto top = a.NewLabel();
+  a.MovImm(kRegB, 0);                // 0
+  a.MovImm(kRegD, 40);               // 1
+  a.Bind(top);
+  a.AddImm(kRegB, kRegB, 1);         // 2
+  a.Blt(kRegB, kRegD, top);          // 3
+  a.Halt();                          // 4
+  a.Nop();                           // 5
+  a.StoreW(kRegB, kRegC, 0);         // 6: the trap-ended block
+  a.AddImm(kRegB, kRegB, 3);         // 7
+  a.Syscall();                       // 8
+  ProgramRef p = a.Build();
+  const JitProgram& jp = p->JitState();
+  EXPECT_TRUE(jp.OneBlock(kTrapPc));
+  EXPECT_FALSE(jp.OneBlock(0));
+
+  uint64_t entries = 0, compiles = 0;
+  for (int i = 0; i < 2; ++i) {
+    (void)RunOne(*p, InterpEngine::kJit, 0, 1u << 20, &entries, &compiles);
+  }
+  ASSERT_TRUE(p->JitReady());
+  ASSERT_EQ(compiles, 1u);
+
+  // Loop entry: compiled blocks run.
+  const uint64_t before_loop = entries;
+  ExpectSameBurst(RunOne(*p, InterpEngine::kJit, 0, 1u << 20, &entries),
+                  RunOne(*p, InterpEngine::kSwitch, 0, 1u << 20), "loop entry");
+  EXPECT_GT(entries, before_loop);
+
+  // Trap-ended entry, at every budget through the block and beyond.
+  for (uint64_t budget = 0; budget <= 8; ++budget) {
+    const uint64_t before = entries;
+    const Burst jit = RunOne(*p, InterpEngine::kJit, kTrapPc, budget, &entries);
+    EXPECT_EQ(entries, before) << "budget " << budget;
+    ExpectSameBurst(jit, RunOne(*p, InterpEngine::kSwitch, kTrapPc, budget),
+                    "trap-ended entry");
+  }
+  EXPECT_EQ(RunOne(*p, InterpEngine::kJit, kTrapPc, 100).r.event, UserEvent::kSyscall);
+  EXPECT_EQ(compiles, 1u);
+}
+
+// A program made only of trap-ended blocks -- straight-line code from one
+// syscall to the next, then a halt -- never becomes hot, however often its
+// bursts run, so it never pays for emission.
+TEST(JitEntry, TrapEndedBlocksNeverCompile) {
+  SKIP_WITHOUT_JIT();
+  Assembler a("jitsyscalls");
+  for (int i = 0; i < 4; ++i) {
+    a.AddImm(kRegB, kRegB, 1);
+    a.StoreW(kRegB, kRegC, 0);
+    a.Syscall();
+  }
+  a.Break();
+  a.Halt();
+  ProgramRef p = a.Build();
+  uint64_t entries = 0, compiles = 0;
+  for (int round = 0; round < 8; ++round) {
+    UserRegisters regs;
+    regs.gpr[kRegC] = 0x100;
+    FlatBus bus(kMemSize);
+    InterpOptions opts;
+    opts.engine = InterpEngine::kJit;
+    opts.jit_block_entries = &entries;
+    opts.jit_compiles = &compiles;
+    for (;;) {
+      const RunResult r = RunUser(*p, &regs, &bus, 1u << 20, opts);
+      if (r.event != UserEvent::kSyscall && r.event != UserEvent::kBreak) {
+        EXPECT_EQ(r.event, UserEvent::kHalt);
+        break;
+      }
+      ++regs.pc;  // the kernel steps over the trap
+    }
+  }
+  EXPECT_EQ(compiles, 0u);
+  EXPECT_EQ(entries, 0u);
+  EXPECT_FALSE(p->JitReady());
+}
+
+// A refused compile leaves the program on the switch core for good: hot
+// bursts then run it with results identical to the switch engine's, and
+// nothing compiles.
+TEST(JitEntry, FailedCompileRunsTheSwitchCore) {
+  SKIP_WITHOUT_JIT();
+  ProgramRef p = LoopProgram("jitrefused");
+  p->JitState().MarkFailed();
+  uint64_t entries = 0, compiles = 0;
+  for (uint64_t budget : {uint64_t{1}, uint64_t{7}, uint64_t{100}, uint64_t{1} << 20}) {
+    for (int i = 0; i < 3; ++i) {  // past the hotness threshold
+      ExpectSameBurst(RunOne(*p, InterpEngine::kJit, 0, budget, &entries, &compiles),
+                      RunOne(*p, InterpEngine::kSwitch, 0, budget), "refused compile");
+    }
+  }
+  EXPECT_EQ(compiles, 0u);
+  EXPECT_EQ(entries, 0u);
+  EXPECT_FALSE(p->JitReady());
 }
 
 TEST(JitEntry, BadPcEntryNeverCompiles) {

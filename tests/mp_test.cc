@@ -265,7 +265,7 @@ class MpBackendTest : public testing::TestWithParam<ExecModel> {};
 TEST_P(MpBackendTest, MatchesPinnedResultsAcrossCpuCounts) {
   const auto& pins = GetParam() == ExecModel::kProcess ? kProcessPins : kInterruptPins;
   for (const MpPin& pin : pins) {
-    const MpRun run = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kThreaded);
+    const MpRun run = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kJit);
     ASSERT_TRUE(run.completed) << pin.cpus << " cpus";
     EXPECT_EQ(run.mp_digest, pin.mp_digest) << pin.cpus << " cpus";
     EXPECT_EQ(run.final_time, pin.final_time) << pin.cpus << " cpus";
@@ -276,19 +276,17 @@ TEST_P(MpBackendTest, MatchesPinnedResultsAcrossCpuCounts) {
     EXPECT_EQ(run.user_instructions, 3420u) << pin.cpus << " cpus";
     // Same-process repeat: no state left behind by one kernel (program
     // caches, the JIT arena, allocator reuse) may leak into the next.
-    const MpRun again = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kThreaded);
+    const MpRun again = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kJit);
     ExpectSameRun(run, again, "same-process repeat");
   }
 }
 
 TEST_P(MpBackendTest, EnginesBitIdenticalUnderMp) {
-  const MpRun threaded = RunC1mMp(GetParam(), 4, InterpEngine::kThreaded);
-  ASSERT_TRUE(threaded.completed);
-  for (const InterpEngine engine : {InterpEngine::kSwitch, InterpEngine::kJit}) {
-    const MpRun other = RunC1mMp(GetParam(), 4, engine);
-    ASSERT_TRUE(other.completed) << InterpEngineName(engine);
-    ExpectSameRun(threaded, other, InterpEngineName(engine));
-  }
+  const MpRun jit = RunC1mMp(GetParam(), 4, InterpEngine::kJit);
+  ASSERT_TRUE(jit.completed);
+  const MpRun other = RunC1mMp(GetParam(), 4, InterpEngine::kSwitch);
+  ASSERT_TRUE(other.completed);
+  ExpectSameRun(jit, other, InterpEngineName(InterpEngine::kSwitch));
 }
 
 // An instrumented run downgrades the JIT to the switch engine so every

@@ -218,8 +218,7 @@ TEST_P(ReqPathKernelTest, RpcRequestsPartitionExactly) {
 
 TEST_P(ReqPathKernelTest, TailReportIsByteIdenticalAcrossEngines) {
   std::string baseline;
-  for (const InterpEngine engine : {InterpEngine::kSwitch, InterpEngine::kThreaded,
-                                    InterpEngine::kJit}) {
+  for (const InterpEngine engine : {InterpEngine::kSwitch, InterpEngine::kJit}) {
     KernelConfig cfg = GetParam();
     cfg.interp_engine = engine;
     auto k = RunRpc(cfg);

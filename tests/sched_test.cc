@@ -213,8 +213,8 @@ struct SchedDigestRun {
   bool completed = true;
 };
 
-SchedDigestRun RunC1mDigest(KernelConfig cfg, bool threaded) {
-  cfg.interp_engine = threaded ? InterpEngine::kThreaded : InterpEngine::kSwitch;
+SchedDigestRun RunC1mDigest(KernelConfig cfg, bool jit) {
+  cfg.interp_engine = jit ? InterpEngine::kJit : InterpEngine::kSwitch;
   // Enable the injector with no failure rates: it records the dispatch-
   // boundary stream (the schedule) without injecting anything.
   cfg.fault_plan.enabled = true;
@@ -244,9 +244,9 @@ SchedDigestRun RunC1mDigest(KernelConfig cfg, bool threaded) {
 }
 
 TEST_P(SchedTest, C1mScheduleDigestIdenticalAcrossRunsAndEngines) {
-  const SchedDigestRun a = RunC1mDigest(GetParam(), /*threaded=*/false);
-  const SchedDigestRun b = RunC1mDigest(GetParam(), /*threaded=*/false);
-  const SchedDigestRun c = RunC1mDigest(GetParam(), /*threaded=*/true);
+  const SchedDigestRun a = RunC1mDigest(GetParam(), /*jit=*/false);
+  const SchedDigestRun b = RunC1mDigest(GetParam(), /*jit=*/false);
+  const SchedDigestRun c = RunC1mDigest(GetParam(), /*jit=*/true);
   ASSERT_TRUE(a.completed);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.final_time, b.final_time);
@@ -273,9 +273,9 @@ TEST_P(SchedTest, C1mScheduleDigestIdenticalAcrossRunsAndEngines) {
 TEST_P(SchedTest, C1mScheduleDigestIdenticalUnderMp) {
   KernelConfig cfg = GetParam();
   cfg.num_cpus = 4;
-  const SchedDigestRun a = RunC1mDigest(cfg, /*threaded=*/false);
-  const SchedDigestRun b = RunC1mDigest(cfg, /*threaded=*/false);
-  const SchedDigestRun c = RunC1mDigest(cfg, /*threaded=*/true);
+  const SchedDigestRun a = RunC1mDigest(cfg, /*jit=*/false);
+  const SchedDigestRun b = RunC1mDigest(cfg, /*jit=*/false);
+  const SchedDigestRun c = RunC1mDigest(cfg, /*jit=*/true);
   ASSERT_TRUE(a.completed);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.final_time, b.final_time);

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "src/kern/legacy.h"
 #include "src/kern/profile.h"
 #include "src/kern/trace_export.h"
 #include "tests/test_util.h"
@@ -147,6 +148,46 @@ TEST_P(TraceKernelTest, SyscallLifecycleTraced) {
   EXPECT_EQ(enters, 1);
   EXPECT_EQ(exits, 1);
   EXPECT_EQ(thread_exits, 1);
+}
+
+// An invalid entrypoint completes at entry and leaves through the same
+// syscall-exit tail as every completed call: its span closes before the
+// exit charge, and the exit costs what null's does, the interrupt model's
+// extra included. With the same user code after each call (EmitSys's movi
+// before the next syscall), the gap from one span's end to the next span's
+// begin is exactly that exit plus one ALU cycle.
+TEST_P(TraceKernelTest, InvalidEntrypointExitsLikeNull) {
+  constexpr uint32_t kInvalid = kSysCount;  // no such call; not a pseudo-syscall
+  static_assert(kInvalid < kPsysBase);
+  SimpleWorld w(GetParam());
+  w.kernel.trace.Enable();
+  Assembler a("t");
+  EmitSys(a, kSysNull);
+  EmitSys(a, kInvalid);
+  EmitSys(a, kSysNull);
+  a.Halt();
+  w.Spawn(a.Build());
+  w.RunAll();
+  std::vector<Time> begins, ends;
+  std::vector<uint32_t> results;
+  for (const auto& e : w.kernel.trace.Snapshot()) {
+    if (e.kind == TraceKind::kSyscallEnter && e.phase == TracePhase::kBegin) {
+      begins.push_back(e.when);
+    } else if (e.kind == TraceKind::kSyscallExit && e.phase == TracePhase::kEnd) {
+      ends.push_back(e.when);
+      results.push_back(e.b);
+    }
+  }
+  ASSERT_EQ(begins.size(), 3u);
+  ASSERT_EQ(ends.size(), 3u);
+  EXPECT_EQ(results[0], kFlukeOk);
+  EXPECT_EQ(results[1], kFlukeErrBadArgument);
+  const CostModel& c = w.kernel.costs;
+  const uint64_t exit =
+      c.syscall_exit +
+      (GetParam().model == ExecModel::kInterrupt ? c.interrupt_exit_extra : 0);
+  EXPECT_EQ(begins[1] - ends[0], Cycles(exit + kCostAlu)) << "after null";
+  EXPECT_EQ(begins[2] - ends[1], Cycles(exit + kCostAlu)) << "after the invalid call";
 }
 
 TEST_P(TraceKernelTest, RestartEventsDistinguishTheModels) {
@@ -322,12 +363,12 @@ TEST_P(TraceKernelTest, DisarmedRunRecordsAndMutatesNothing) {
 
 // THE cross-engine determinism contract: tracing forces the slow path, so
 // the full event stream -- every field of every event -- must be
-// bit-identical between the threaded and switch interpreter engines.
+// bit-identical between the jit and switch interpreter engines.
 TEST_P(TraceKernelTest, CrossEngineTraceDigestsIdentical) {
   KernelConfig sw = GetParam();
   sw.interp_engine = InterpEngine::kSwitch;
   KernelConfig th = GetParam();
-  th.interp_engine = InterpEngine::kThreaded;
+  th.interp_engine = InterpEngine::kJit;
   auto a = RunRpc(sw, /*traced=*/true);
   auto b = RunRpc(th, /*traced=*/true);
   ASSERT_EQ(a->trace.dropped(), 0u);
@@ -347,7 +388,7 @@ TEST_P(TraceKernelTest, MpTraceDigestsIdenticalAcrossRunsAndEngines) {
   sw.num_cpus = 4;
   sw.interp_engine = InterpEngine::kSwitch;
   KernelConfig th = sw;
-  th.interp_engine = InterpEngine::kThreaded;
+  th.interp_engine = InterpEngine::kJit;
   auto a = RunRpc(sw, /*traced=*/true);
   auto b = RunRpc(sw, /*traced=*/true);
   auto c = RunRpc(th, /*traced=*/true);

@@ -53,7 +53,7 @@ KNOWN_STATS_SCHEMAS = (1, 2)
 # BM_Interp*/N argument -> interpreter engine, mirroring BenchEngine() in
 # bench/microbench.cc. Snapshots carry this map plus per-benchmark engine
 # speedups so the history shows which engine produced which rate.
-INTERP_ENGINE_ARGS = {"0": "switch", "1": "threaded", "2": "jit"}
+INTERP_ENGINE_ARGS = {"0": "switch", "2": "jit"}
 
 # google-benchmark reports real_time/cpu_time in each benchmark's time_unit
 # (BM_ThreadScale and BM_MpScale use ms); the report stores nanoseconds.
@@ -61,7 +61,7 @@ NS_PER_TIME_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def interp_speedups(rates):
-    """Per-benchmark jit/threaded speedups over the switch baseline."""
+    """Per-benchmark jit speedups over the switch baseline."""
     out = {}
     for name, rate in rates.items():
         base, _, arg = name.rpartition("/")
@@ -71,12 +71,9 @@ def interp_speedups(rates):
         if engine == "switch" or not rate:
             continue
         switch_rate = rates.get(f"{base}/0")
-        threaded_rate = rates.get(f"{base}/1")
-        entry = out.setdefault(base, {})
         if switch_rate:
-            entry[f"{engine}_vs_switch"] = round(rate / switch_rate, 3)
-        if engine == "jit" and threaded_rate:
-            entry["jit_vs_threaded"] = round(rate / threaded_rate, 3)
+            out.setdefault(base, {})[f"{engine}_vs_switch"] = round(
+                rate / switch_rate, 3)
     return out
 
 
@@ -100,8 +97,6 @@ def distill_stats(path):
         "hard_faults": s.get("hard_faults"),
         "trace_events_recorded": s.get("trace_events_recorded"),
         "user_instructions": s.get("user_instructions"),
-        "interp_block_charges": s.get("interp_block_charges"),
-        "interp_predecodes": s.get("interp_predecodes"),
         "jit_compiles": s.get("jit_compiles"),
         "jit_block_entries": s.get("jit_block_entries"),
         "jit_deopts": s.get("jit_deopts"),

@@ -6,10 +6,11 @@
 // Each file becomes one thread (all in one space, sharing memory). Options:
 //   --model=process|interrupt     execution model        (default process)
 //   --preempt=np|pp|fp            preemption mode        (default np)
-//   --engine=switch|threaded|jit  interpreter engine     (default threaded).
-//                                 All three are bit-identical; jit falls back
-//                                 to threaded (with a warning) on hosts that
-//                                 refuse executable pages
+//   --engine=switch|jit           interpreter engine     (default jit).
+//                                 Both are bit-identical; jit runs cold and
+//                                 one-block bursts in the switch core, and
+//                                 falls back to switch (with a warning) on
+//                                 hosts that refuse executable pages
 //   --cpus=N                      simulated CPUs (default 1). N > 1 runs the
 //                                 per-CPU epoch dispatcher; the rpc and c1m
 //                                 workloads shard across the CPUs
@@ -113,7 +114,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: fluke_run [--model=process|interrupt] [--preempt=np|pp|fp]\n"
-               "                 [--engine=switch|threaded|jit] [--cpus=N]\n"
+               "                 [--engine=switch|jit] [--cpus=N]\n"
                "                 [--anon=BYTES] [--max-ms=N] [--paged] [--stats] [--trace] [--ps]\n"
                "                 [--stats-json=FILE] [--trace-out=FILE] [--trace-bin=FILE]\n"
                "                 [--trace-cap=N] [--flight-recorder[=N]] [--flight-out=PREFIX]\n"
@@ -250,8 +251,6 @@ int Main(int argc, char** argv) {
       cfg.preempt = PreemptMode::kFull;
     } else if (arg == "--engine=switch") {
       cfg.interp_engine = InterpEngine::kSwitch;
-    } else if (arg == "--engine=threaded") {
-      cfg.interp_engine = InterpEngine::kThreaded;
     } else if (arg == "--engine=jit") {
       cfg.interp_engine = InterpEngine::kJit;
     } else if (arg.rfind("--engine=", 0) == 0) {
@@ -664,13 +663,10 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.syscall_fast_entries),
                  static_cast<unsigned long long>(s.ipc_fast_handoffs));
     std::fprintf(stderr,
-                 "  engine: %s | %llu instrs | interp: %llu block charges, "
-                 "%llu predecodes | jit: %llu compiles, %llu block entries, "
-                 "%llu deopts, %llu bytes\n",
+                 "  engine: %s | %llu instrs | jit: %llu compiles, "
+                 "%llu block entries, %llu deopts, %llu bytes\n",
                  InterpEngineName(cfg.interp_engine),
                  static_cast<unsigned long long>(s.user_instructions),
-                 static_cast<unsigned long long>(s.interp_block_charges),
-                 static_cast<unsigned long long>(s.interp_predecodes),
                  static_cast<unsigned long long>(s.jit_compiles),
                  static_cast<unsigned long long>(s.jit_block_entries),
                  static_cast<unsigned long long>(s.jit_deopts),
