@@ -1,8 +1,8 @@
 // The dispatcher: the only place the execution model matters.
 //
-// RunThread() executes one burst of a thread: resuming a retained kernel
+// RunThreadT() executes one burst of a thread: resuming a retained kernel
 // activation (process model), or running user code until it traps. When a
-// handler blocks, HandleOpOutcome() applies the model:
+// handler blocks, HandleOpOutcomeT() applies the model:
 //
 //   * interrupt model -- destroy the coroutine frame ("unwind the per-CPU
 //     kernel stack"); the thread's committed registers are the
@@ -98,7 +98,7 @@ void Kernel::RunLoop(Time until) {
     if (irqs.AnyPending()) {
       DispatchIrqs();
     }
-    Thread* t = PickNext();
+    Thread* t = PickNextOn(cpus_[0]);
     if (t == nullptr) {
       if (TimerQueueEmpty()) {
         return;  // nothing can ever happen again
@@ -152,8 +152,6 @@ void Kernel::RunLoop(Time until) {
   }
 }
 
-Thread* Kernel::PickNext() { return PickNextOn(*exec_cpu_); }
-
 Thread* Kernel::PickNextOn(Cpu& c) {
   // One bitmap scan + list pop, whatever the runnable count (readyqueue.h).
   ++stats.sched_bitmap_scans;
@@ -174,12 +172,8 @@ void Kernel::DispatchIrqs() {
       ticks_seen_ += static_cast<uint32_t>(n_ticks);
       Charge(costs.tick_work);
       if (ticks_seen_ % cfg.timeslice_ticks < n_ticks) {
-        rotate_pending_ = true;
-        if (cfg.num_cpus > 1) {
-          // The tick rotates every CPU's lane (epoch dispatcher).
-          for (Cpu& c : cpus_) {
-            c.rotate = true;
-          }
+        for (Cpu& c : cpus_) {
+          c.rotate = true;  // the tick rotates every CPU's lane
         }
       }
       // Table 6 probe accounting: a probe that is waiting will run once now
@@ -208,14 +202,26 @@ void Kernel::DispatchIrqs() {
   }
 }
 
-void Kernel::RunThread(Thread* t, Time horizon) {
-  // Non-template entrypoint (white-box tests): dispatch per call.
-  if (InstrumentationLive()) {
-    RunThreadT<true>(*exec_cpu_, t, horizon);
-  } else {
-    RunThreadT<false>(*exec_cpu_, t, horizon);
+namespace {
+
+// The end of every dispatch: a thread still running goes back on its CPU's
+// queue -- to the back when a timeslice tick is pending (round-robin), to
+// the front otherwise, so it keeps the CPU at the next pick.
+__attribute__((always_inline)) inline void Requeue(Cpu& c, Thread* t) {
+  if (t->run_state == ThreadRun::kRunning) {
+    t->run_state = ThreadRun::kRunnable;
+    if (c.rotate) {
+      c.ready.PushBack(t);
+      c.rotate = false;
+    } else {
+      c.ready.PushFront(t);
+    }
   }
+  c.last = t;
+  c.current = nullptr;
 }
+
+}  // namespace
 
 template <bool Instrumented>
 void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
@@ -307,25 +313,7 @@ void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
     }
   }
 
-  if (t->run_state == ThreadRun::kRunning) {
-    t->run_state = ThreadRun::kRunnable;
-    if (rotate_pending_) {
-      cpu.ready.PushBack(t);  // timeslice round-robin
-      rotate_pending_ = false;
-    } else {
-      cpu.ready.PushFront(t);  // keep running next pick
-    }
-  }
-  cpu.last = t;
-  cpu.current = nullptr;
-}
-
-void Kernel::EnterSyscall(Thread* t) {
-  if (InstrumentationLive()) {
-    EnterSyscallT<true>(*exec_cpu_, t);
-  } else {
-    EnterSyscallT<false>(*exec_cpu_, t);
-  }
+  Requeue(cpu, t);
 }
 
 template <bool Instrumented>
@@ -439,21 +427,6 @@ void Kernel::ResumeOp(Thread* t) {
   h.resume();
 }
 
-void Kernel::UncountBlockedBytes(Thread* t) {
-  if (t->blocked_bytes_counted) {
-    blocked_frame_bytes_ -= t->kstack_bytes;
-    t->blocked_bytes_counted = false;
-  }
-}
-
-void Kernel::HandleOpOutcome(Thread* t) {
-  if (InstrumentationLive()) {
-    HandleOpOutcomeT<true>(*exec_cpu_, t);
-  } else {
-    HandleOpOutcomeT<false>(*exec_cpu_, t);
-  }
-}
-
 template <bool Instrumented>
 void Kernel::HandleOpOutcomeT(Cpu& cpu, Thread* t) {
   (void)cpu;  // the dispatcher context; kept explicit so no hot-path callee
@@ -483,12 +456,7 @@ void Kernel::HandleOpOutcomeT(Cpu& cpu, Thread* t) {
         t->op.Reset();
         t->resume_point = {};
       } else {
-        // The retained frame is the thread's kernel stack (Table 7).
-        blocked_frame_bytes_ += t->kstack_bytes;
-        t->blocked_bytes_counted = true;
-        if (blocked_frame_bytes_ > stats.blocked_frame_bytes_peak) {
-          stats.blocked_frame_bytes_peak = blocked_frame_bytes_;
-        }
+        CountBlockedBytes(t);  // the retained frame is its kernel stack
       }
       break;
     case KStatus::kPreempted:
@@ -512,14 +480,6 @@ void Kernel::HandleOpOutcomeT(Cpu& cpu, Thread* t) {
       CancelOpQueuesOnly(t);
       MakeRunnable(t);
       break;
-  }
-}
-
-void Kernel::HandleUserFault(Thread* t, uint32_t addr, bool is_write) {
-  if (InstrumentationLive()) {
-    HandleUserFaultT<true>(t, addr, is_write);
-  } else {
-    HandleUserFaultT<false>(t, addr, is_write);
   }
 }
 
@@ -691,21 +651,6 @@ inline uint64_t FnvMix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// RunThreadT's requeue tail, with the per-CPU rotate flag.
-inline void MpRequeue(Cpu& c, Thread* t) {
-  if (t->run_state == ThreadRun::kRunning) {
-    t->run_state = ThreadRun::kRunnable;
-    if (c.rotate) {
-      c.ready.PushBack(t);  // timeslice round-robin
-      c.rotate = false;
-    } else {
-      c.ready.PushFront(t);  // keep running next pick
-    }
-  }
-  c.last = t;
-  c.current = nullptr;
-}
-
 }  // namespace
 
 uint64_t Kernel::MpDigest() const {
@@ -772,19 +717,19 @@ bool Kernel::MpAdvance(Cpu& c, Time horizon) {
     if (t->op.valid()) {
       ResumeOp(t);
       HandleOpOutcomeT<Instrumented>(c, t);
-      MpRequeue(c, t);
+      Requeue(c, t);
       continue;
     }
     if (t->program == nullptr) {
       ThreadExit(t, 0xBAD0);
-      MpRequeue(c, t);
+      Requeue(c, t);
       continue;
     }
     uint64_t budget = (horizon - clock.now()) / kNsPerCycle;
     if (budget == 0) {
       // Sub-cycle remainder to the horizon: idle it (see RunThreadT).
       clock.AdvanceTo(horizon);
-      MpRequeue(c, t);
+      Requeue(c, t);
       continue;
     }
     constexpr uint64_t kMaxBurstCycles = 1ull << 31;
@@ -853,7 +798,7 @@ void Kernel::MpConsume(Cpu& c) {
       ThreadExit(t, 0xDEAD);
       break;
   }
-  MpRequeue(c, t);
+  Requeue(c, t);
   c.lane = clock.now();
 }
 

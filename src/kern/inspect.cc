@@ -212,7 +212,6 @@ std::string StatsJson(const Kernel& k) {
   field("restart_audits", s.restart_audits);
   field("oom_backoffs", s.oom_backoffs);
   field("panics", s.panics);
-  field("ipc_page_lends", s.ipc_page_lends);
   field("syscall_fast_entries", s.syscall_fast_entries);
   field("ipc_fast_handoffs", s.ipc_fast_handoffs);
   field("timer_arms", s.timer_arms);

@@ -235,48 +235,6 @@ KTask TransferData(SysCtx& ctx, Thread* sender, Thread* recver) {
       k.trace.Record(k.clock.now(), TraceKind::kIpcChunk, ctx.thread->id(), words);
     }
 
-    // Page-lending path (non-preemptive configs only): when both sides are
-    // page-aligned with a full page left, remap the sender's frame into the
-    // receiver copy-on-write instead of copying 4 KiB. Gated to
-    // PreemptMode::kNone because the page's two chunk commits then happen
-    // with no possible suspension between them (the lend proves both
-    // translations, so the chunks cannot fault), making the batched commit
-    // below indistinguishable from two separate ones. Charges are exactly
-    // the copy path's per-chunk charges; ChargeFpLocks is skipped because
-    // it only charges under PreemptMode::kFull. A repeated send of the same
-    // buffer is the steady state: the frames already match, SharePageFrom
-    // returns immediately, and no remap or shootdown happens at all.
-    // LendAllowed: under MP a lend would hand a copy-on-write frame to a
-    // phase-A burst (whose break mid-burst races the frame allocator), so
-    // MP sends take the copy path below -- virtual time identical.
-    if (k.cfg.preempt == PreemptMode::kNone && (src & kPageMask) == 0 &&
-        (dst & kPageMask) == 0 && sreg.gpr[kRegD] >= kPageSize / 4 &&
-        rreg.gpr[kRegDI] >= kPageSize / 4 &&
-        k.LendAllowed(recver->space, sender->space) &&
-        recver->space->SharePageFrom(*sender->space, src, dst)) {
-      ++k.stats.ipc_page_lends;
-      if (traced) {
-        k.trace.Record(k.clock.now(), TraceKind::kIpcPageLend, ctx.thread->id(), src);
-      }
-      for (uint32_t c = 0; c < kPageSize / (4 * kChunkWords); ++c) {
-        k.Charge(k.costs.ipc_chunk_setup + 2ull * kChunkWords * k.costs.ipc_per_word);
-        sreg.gpr[kRegC] += 4 * kChunkWords;
-        sreg.gpr[kRegD] -= kChunkWords;
-        rreg.gpr[kRegSI] += 4 * kChunkWords;
-        rreg.gpr[kRegDI] -= kChunkWords;
-        if (sreg.gpr[kRegD] == 0 || rreg.gpr[kRegDI] == 0) {
-          SettleBlockedPeerAtCommit(k, ctx.thread, sender, recver);
-        } else {
-          pp_bytes += 4 * kChunkWords;
-          if (pp_bytes >= k.cfg.preempt_chunk_bytes) {
-            pp_bytes = 0;
-            k.Charge(k.costs.preempt_point_check);
-          }
-        }
-      }
-      continue;
-    }
-
     // Fast path: both sides translate with sufficient rights (the common
     // case after warm-up) -- one TLB-backed translation per side and one
     // memcpy per chunk. Cost-identical to the word loop; only host time

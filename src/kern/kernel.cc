@@ -110,16 +110,6 @@ int Kernel::HomeCpuOf(Space* s) {
   return AffinityRep(s)->aff_home;
 }
 
-bool Kernel::LendAllowed(Space* to, Space* from) {
-  // Not under MP at all -- not even intra-domain. Lending costs the same
-  // virtual time as copying, but it is not invisible: a lend's copy-on-write
-  // break (the first write) allocates a frame, so enabling it under MP would
-  // move frame ids and the lend/fault counters of every pinned MP result.
-  (void)to;
-  (void)from;
-  return cfg.num_cpus <= 1;
-}
-
 void Kernel::MergeAffinity(Space* a, Space* b) {
   if (cfg.num_cpus <= 1) {
     return;
@@ -549,7 +539,7 @@ Thread* Kernel::RecreateThreadForAudit(Thread* t) {
   }
   const bool restart = t->restart_pending;
 
-  // The thread was just popped by PickNext: runnable but unlinked. Mark it
+  // The thread was just popped by PickNextOn: runnable but unlinked. Mark it
   // stopped so DestroyThread does not try to unlink it again.
   t->run_state = ThreadRun::kStopped;
   sp->Uninstall(old_h);  // free the self slot; Install reuses it (LIFO)
@@ -798,18 +788,14 @@ void Kernel::CommitFastBlock(Thread* t, BlockKind kind, std::initializer_list<si
   t->op_status = KStatus::kBlocked;
   t->run_state = ThreadRun::kBlocked;
   t->block_kind = kind;
-  // HandleOpOutcome's kBlocked arm (the dispatcher opens the block span).
+  // HandleOpOutcomeT's kBlocked arm (the dispatcher opens the block span).
   if (cfg.model == ExecModel::kInterrupt) {
     for (const size_t bytes : frames) {
       AccountFrameFree(t, bytes);  // op.Reset(): innermost frame first
     }
     return;  // no FP in this model: the lock, if any, charged nothing
   }
-  blocked_frame_bytes_ += t->kstack_bytes;
-  t->blocked_bytes_counted = true;
-  if (blocked_frame_bytes_ > stats.blocked_frame_bytes_peak) {
-    stats.blocked_frame_bytes_peak = blocked_frame_bytes_;
-  }
+  CountBlockedBytes(t);
   t->frameless_block = true;
   t->frameless_lock = lock != nullptr && lock->Release();
 }

@@ -264,7 +264,7 @@ class Kernel {
 
   // Completes a blocked (already-dequeued) thread's operation on its behalf
   // by mutating its state -- "continuation recognition" -- and wakes it.
-  // Such a thread never reaches HandleOpOutcome's completion arm, so this is
+  // Such a thread never reaches HandleOpOutcomeT's completion arm, so this is
   // also where its trace spans close (flow link + block/syscall span ends).
   void CompleteBlockedOp(Thread* t, uint32_t err);
 
@@ -304,10 +304,6 @@ class Kernel {
   // are deterministic (the lower home id wins) and re-home the losing
   // domain's threads (stats.migrations).
   int HomeCpuOf(Space* s);
-  // True when an IPC page lend between the two spaces is allowed: always at
-  // num_cpus == 1, never under MP, where the copy path is taken instead
-  // (virtual time is identical either way; see kernel.cc for why).
-  bool LendAllowed(Space* to, Space* from);
   // Merged (CPU-order) digest of every CPU's dispatch history: the MP
   // determinism witness. Zero-cost and zero at num_cpus == 1.
   uint64_t MpDigest() const;
@@ -367,17 +363,27 @@ class Kernel {
   const std::vector<Thread*>& threads() const { return threads_; }
   const std::vector<Space*>& spaces() const { return spaces_; }
 
-  // Dispatcher internals (dispatch.cc); public for white-box tests.
-  Thread* PickNext();
-  void RunThread(Thread* t, Time horizon);
-  void EnterSyscall(Thread* t);
+  // Dispatcher internals (dispatch.cc).
   void ResumeOp(Thread* t);
-  void HandleOpOutcome(Thread* t);
-  void HandleUserFault(Thread* t, uint32_t addr, bool is_write);
   void HandlePseudoSyscall(Thread* t, uint32_t sys);
   void ThreadExit(Thread* t, uint32_t code);
   void DispatchIrqs();
-  void UncountBlockedBytes(Thread* t);
+  // Table 7's blocked kernel stacks: a process-model thread that blocks
+  // with its frame retained counts its stack bytes until it resumes or
+  // dies.
+  void CountBlockedBytes(Thread* t) {
+    blocked_frame_bytes_ += t->kstack_bytes;
+    t->blocked_bytes_counted = true;
+    if (blocked_frame_bytes_ > stats.blocked_frame_bytes_peak) {
+      stats.blocked_frame_bytes_peak = blocked_frame_bytes_;
+    }
+  }
+  void UncountBlockedBytes(Thread* t) {
+    if (t->blocked_bytes_counted) {
+      blocked_frame_bytes_ -= t->kstack_bytes;
+      t->blocked_bytes_counted = false;
+    }
+  }
 
   // True while any hot-path instrumentation must fire (an armed fault
   // injector, an enabled trace buffer, or a concurrent checkpoint still
@@ -421,7 +427,7 @@ class Kernel {
 
   // The one frameless-block helper for the fast twins (syscalls.cc, ipc.cc):
   // `t` blocks at entry with no coroutine frame, its registers its whole
-  // continuation. Mirrors BlockAwaiter and HandleOpOutcome's kBlocked arm
+  // continuation. Mirrors BlockAwaiter and HandleOpOutcomeT's kBlocked arm
   // bit for bit: charges wait_enqueue and the wait-queue lock, sets `kind`,
   // and accounts `frames` -- the sizes the coroutine route would hold,
   // innermost first. The interrupt model frees them now, in op.Reset()
@@ -498,7 +504,7 @@ class Kernel {
   IntrusiveList<Thread, &Thread::probe_node> latency_probes_;
   // RunUser engine options, built once in the constructor -- the engine
   // flag and the stats-counter pointers are fixed for the kernel's lifetime,
-  // so RunThread doesn't reassemble them on every timeslice.
+  // so RunThreadT doesn't reassemble them on every timeslice.
   InterpOptions interp_opts_;
   // Same options with a kJit engine downgraded to kSwitch, used by the
   // instrumented dispatch path (armed fault plan / tracing / single-step):
@@ -507,7 +513,7 @@ class Kernel {
   // is the "deopt" half of the JIT contract at burst granularity.
   InterpOptions interp_opts_instr_;
   // Flat by-number syscall dispatch table (syscall_table.cc), cached at
-  // construction so EnterSyscall indexes it with no function call or lazy
+  // construction so EnterSyscallT indexes it with no function call or lazy
   // initialization on the hot path.
   const SyscallDef* const* syscalls_by_num_ = nullptr;
   std::vector<Cpu> cpus_;
@@ -532,7 +538,6 @@ class Kernel {
   uint64_t next_obj_id_ = 1;
   uint32_t ticks_seen_ = 0;
   uint64_t last_timer_raises_ = 0;
-  bool rotate_pending_ = false;
   bool crashed_ = false;
   uint64_t blocked_frame_bytes_ = 0;
   PanicHandler panic_handler_;

@@ -155,7 +155,7 @@ void Space::MapPage(uint32_t vaddr, FrameId frame, uint32_t prot) {
   if (it != pages_.end()) {
     if (it->second.ckpt_marked) {
       // Replacing a page an in-progress checkpoint still owes: save the old
-      // contents first (covers CowBreak remaps, lends, remedy installs).
+      // contents first (covers remedy installs, remaps and prot changes).
       CkptSaveMarked(vaddr >> kPageShift, it->second);
     }
     if (it->second.frame != kInvalidFrame) {
@@ -205,72 +205,6 @@ FrameId Space::ProvidePage(uint32_t vaddr, uint32_t prot) {
   return f;
 }
 
-bool Space::CowBreak(uint32_t vaddr, Pte& pte) {
-  if (phys_->refcount(pte.frame) > 1) {
-    const FrameId nf = phys_->Alloc();
-    if (nf == kInvalidFrame) {
-      return false;
-    }
-    std::memcpy(phys_->Data(nf), phys_->Data(pte.frame), kPageSize);
-    // MapPage bumps pt_gen_, shoots down the TLB entry, unrefs the shared
-    // frame and resets cow (Pte{} default). The other holder keeps its own
-    // cow flag; its next write privatizes (or just clears, if it is by then
-    // the sole holder).
-    MapPage(vaddr, nf, pte.prot);
-    phys_->Unref(nf);  // MapPage took its own reference; drop Alloc's
-  } else {
-    // Sole holder already: nothing to copy. The translation itself is
-    // unchanged (same frame, same prot, strictly wider host access), so no
-    // generation bump or shootdown is needed -- cached read pointers stay
-    // valid and no cached write pointer can exist for a cow page.
-    pte.cow = false;
-  }
-  return true;
-}
-
-bool Space::EnsurePrivateFrame(uint32_t vaddr) {
-  auto it = pages_.find(vaddr >> kPageShift);
-  if (it == pages_.end() || !it->second.cow) {
-    return true;
-  }
-  return CowBreak(vaddr, it->second);
-}
-
-bool Space::SharePageFrom(Space& from, uint32_t src_vaddr, uint32_t dst_vaddr) {
-  auto sit = from.pages_.find(src_vaddr >> kPageShift);
-  if (sit == from.pages_.end() || (sit->second.prot & kProtRead) == 0) {
-    return false;
-  }
-  auto dit = pages_.find(dst_vaddr >> kPageShift);
-  if (dit == pages_.end() || (dit->second.prot & kProtWrite) == 0) {
-    return false;
-  }
-  if (dit->second.frame == sit->second.frame) {
-    return true;  // already lent (steady state: repeated sends of one buffer)
-  }
-  // A frame referenced by several PTEs *without* cow is shared through the
-  // mapping hierarchy. Lending is wrong on either end then: hierarchy
-  // references to the source would not honor the break-before-write
-  // contract, and a copy into a hierarchy-shared destination frame is
-  // visible to its other sharers, which a remap would not reproduce.
-  if (phys_->refcount(sit->second.frame) > 1 && !sit->second.cow) {
-    return false;
-  }
-  if (phys_->refcount(dit->second.frame) > 1 && !dit->second.cow) {
-    return false;
-  }
-  MapPage(dst_vaddr, sit->second.frame, dit->second.prot);
-  dit->second.cow = true;
-  if (!sit->second.cow) {
-    sit->second.cow = true;
-    // The source translation narrows for host writes: cached write pointers
-    // (IPC span cache, TLB) must revalidate and re-walk.
-    ++from.pt_gen_;
-    from.TlbInvalidatePage(src_vaddr >> kPageShift);
-  }
-  return true;
-}
-
 void Space::RemoveMapping(Mapping* m) {
   mappings_.erase(std::remove(mappings_.begin(), mappings_.end(), m), mappings_.end());
 }
@@ -295,16 +229,6 @@ SoftFaultResult Space::TryResolveSoft(uint32_t vaddr, bool want_write) {
         const uint32_t eff = pte->prot & cur.prot;
         if ((eff & want) != want) {
           return r;  // reachable but protection forbids the access
-        }
-        if (pte->cow) {
-          // Never hand a lent (copy-on-write) frame to the hierarchy: the
-          // new reference would not honor the break-before-write contract.
-          // Privatize the source page first, then install its own frame.
-          if (!cur.space->EnsurePrivateFrame(cur.addr)) {
-            r.out_of_frames = true;  // retryable frame exhaustion
-            return r;
-          }
-          pte = cur.space->FindPte(cur.addr);
         }
         // Install into the faulting space.
         UnmapPage(vaddr);
@@ -382,25 +306,11 @@ uint8_t* Space::PageData(uint32_t vaddr, uint32_t want_prot, uint32_t* fault_add
     *fault_addr = vaddr;
     return nullptr;
   }
-  if (it->second.cow && (want_prot & kProtWrite) != 0) {
-    // Write to a lent (copy-on-write) frame: privatize it first so the other
-    // holder never observes the write. Protection is checked before breaking
-    // so a forbidden write does not waste a frame copy. CowBreak is a
-    // host-side caching/ownership action, not a semantic mutation of the
-    // simulated address space, hence the const_cast from this const walk.
-    if ((it->second.prot & want_prot) != want_prot) {
-      *fault_addr = vaddr;
-      return nullptr;
-    }
-    if (!const_cast<Space*>(this)->CowBreak(vaddr, const_cast<Pte&>(it->second))) {
-      *fault_addr = vaddr;  // frame exhaustion: surface as a fault
-      return nullptr;
-    }
-  }
   if ((want_prot & kProtWrite) != 0 && (it->second.prot & want_prot) == want_prot) {
     // Permitted write to the page: satisfy an in-progress checkpoint first
     // (save the pre-write contents) and record the page dirty for delta
-    // tracking. Host-side bookkeeping like CowBreak above, hence const_cast.
+    // tracking. Host-side bookkeeping, not a semantic mutation of the
+    // simulated address space, hence the const_cast from this const walk.
     Pte& pte = const_cast<Pte&>(it->second);
     if (pte.ckpt_marked) {
       const_cast<Space*>(this)->CkptSaveMarked(page, pte);
@@ -408,14 +318,12 @@ uint8_t* Space::PageData(uint32_t vaddr, uint32_t want_prot, uint32_t* fault_add
     pte.dirty = true;
   }
   uint8_t* base = phys_->Data(it->second.frame);
-  if (tlb_enabled_ && !it->second.cow && !it->second.ckpt_marked &&
-      (it->second.dirty || !dirty_track_)) {
+  if (tlb_enabled_ && !it->second.ckpt_marked && (it->second.dirty || !dirty_track_)) {
     // Fill even when the access is about to prot-fault: the entry still
-    // mirrors the PTE, and the next permitted access hits. Cow pages are
-    // never cached: a TLB hit carrying write permission would bypass the
-    // copy-on-write break above. Checkpoint-marked pages are never cached
-    // (a hit would bypass the save-on-write hook), and under dirty tracking
-    // clean pages are never cached (a hit would bypass the dirty hook).
+    // mirrors the PTE, and the next permitted access hits. Checkpoint-marked
+    // pages are never cached (a hit would bypass the save-on-write hook),
+    // and under dirty tracking clean pages are never cached (a hit would
+    // bypass the dirty hook).
     tlb_.Fill(page, it->second.prot, base);
   }
   if ((it->second.prot & want_prot) != want_prot) {
@@ -516,9 +424,6 @@ bool Space::HostWrite(uint32_t vaddr, const void* data, uint32_t len) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
   for (uint32_t i = 0; i < len;) {
     const uint32_t addr = vaddr + i;
-    if (!EnsurePrivateFrame(addr)) {  // prot-blind, but cow still breaks
-      return false;
-    }
     // Prot-blind translation below bypasses PageData's write hook, so an
     // in-progress checkpoint and the dirty bit are handled explicitly here.
     auto pit = pages_.find(addr >> kPageShift);

@@ -33,11 +33,6 @@ inline constexpr Handle kInvalidHandle = 0;
 struct Pte {
   FrameId frame = kInvalidFrame;
   uint32_t prot = kProtNone;
-  // Copy-on-write: the frame is lent between exactly the PTEs that carry
-  // this flag (IPC page lending). Any write access must privatize the frame
-  // first (Space::CowBreak); cow pages are never cached in the software TLB
-  // so the break cannot be bypassed by a cached translation.
-  bool cow = false;
   // Owed to an in-progress checkpoint (src/kern/ckpt.h): any mutation must
   // first save the old contents into the checkpoint session
   // (Space::CkptSaveMarked). Marked pages are never cached in the software
@@ -89,19 +84,6 @@ class Space final : public KernelObject, public MemoryBus {
   void UnmapPage(uint32_t vaddr);
   // Host-side convenience: allocate + map + optionally fill a page.
   FrameId ProvidePage(uint32_t vaddr, uint32_t prot = kProtReadWrite);
-
-  // --- Copy-on-write page lending (IPC bulk-transfer fast path) ---
-  // Maps the frame backing `from`'s page at src_vaddr into this space at
-  // dst_vaddr and marks both PTEs copy-on-write, instead of copying 4 KiB.
-  // Returns false (caller must fall back to copying) unless the source page
-  // is readable, the destination page is writable, and neither frame is
-  // shared through the mapping hierarchy (refcount > 1 without cow). A
-  // repeat lend of an already-lent page is a no-op returning true.
-  bool SharePageFrom(Space& from, uint32_t src_vaddr, uint32_t dst_vaddr);
-  // Breaks copy-on-write at vaddr if set (copying the frame when it is still
-  // shared). True if the page is now privately writable-safe; false only on
-  // frame exhaustion. No-op (true) when the page is absent or not cow.
-  bool EnsurePrivateFrame(uint32_t vaddr);
 
   // --- Mapping hierarchy ---
   void AddMapping(Mapping* m) { mappings_.push_back(m); }
@@ -215,7 +197,6 @@ class Space final : public KernelObject, public MemoryBus {
   std::vector<Space*> aff_members;
 
  private:
-  bool CowBreak(uint32_t vaddr, Pte& pte);
   uint8_t* PageData(uint32_t vaddr, uint32_t want_prot, uint32_t* fault_addr) const;
   Span TranslateSpanConst(uint32_t vaddr, uint32_t len, uint32_t want_prot) const;
   void TlbInvalidatePage(uint32_t page);

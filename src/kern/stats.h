@@ -142,16 +142,8 @@ struct KernelStats {
   uint64_t oom_backoffs = 0;        // bounded retries after frame exhaustion
   uint64_t panics = 0;              // recoverable panics the hook intercepted
 
-  // IPC copy-on-write page lending (non-preemptive configs only): full pages
-  // transferred by remapping the sender's frame instead of copying 4 KiB.
-  // Purely a host-side optimization -- the virtual-time charges are
-  // identical to the copy path -- but counted for observability. Lending
-  // does not consult the TLB, so this counter is the same in TLB-enabled
-  // and TLB-disabled runs.
-  uint64_t ipc_page_lends = 0;
-
   // Fast-path dispatch accounting (src/kern/dispatch.cc). Like the tlb_*
-  // and interp_* counters these are host-side observability only, and are
+  // and jit_* counters these are host-side observability only, and are
   // the only counters (with those) allowed to differ between fast_path
   // on/off runs of the same workload -- every semantic counter above, and
   // all virtual-time results, must be bit-identical (tested by
@@ -167,7 +159,7 @@ struct KernelStats {
   uint64_t timer_cancels = 0;   // timeouts cancelled (entry freed eagerly)
   uint64_t timer_cascades = 0;  // wheel entries re-placed by cursor advance
   uint64_t slab_thread_allocs = 0;  // TCBs carved from the thread slab
-  uint64_t sched_bitmap_scans = 0;  // O(1) ready-bitmap picks (PickNext calls)
+  uint64_t sched_bitmap_scans = 0;  // O(1) ready-bitmap picks (PickNextOn calls)
 
   // Multi-CPU epoch dispatcher (src/kern/dispatch.cc). Semantic counters:
   // the epoch schedule is deterministic, so these are identical across the

@@ -37,7 +37,7 @@ struct SyscallDef {
   // would, reproduces the handler's registers, charges and child-frame
   // accounting exactly, and returns true with the call completed or blocked
   // through Kernel::CommitFastBlock. The dispatcher's shared tail then does
-  // what HandleOpOutcome would: closes the trace span, frees `frame_bytes`
+  // what HandleOpOutcomeT would: closes the trace span, frees `frame_bytes`
   // and charges the syscall exit, or opens the block span.
   bool (*fast)(Kernel& k, Thread* t, const SyscallDef& def) = nullptr;
   // Size of `handler`'s coroutine frame, probed once when the table is

@@ -57,7 +57,8 @@ enum class TraceKind : uint8_t {
   kThreadExit,
   // --- Added with the observability layer (PR 5) ---
   kIpcChunk,        // instant: one IPC transfer chunk committed (a=words)
-  kIpcPageLend,     // instant: whole-page CoW lend instead of copy (a=src va)
+  kIpcPageLend,     // retired, never emitted: kept so the kinds after it keep
+                    // their numbers in FBT files and trace digests
   kIpcFastHandoff,  // instant: direct-handoff fast path committed a send
   kFaultInject,     // instant: injector fired (a: 0=extract, 1=crash, 2=connect)
   kCheckpoint,      // instant: space captured (b=0) or restored (b=1)

@@ -100,17 +100,6 @@ struct MiniTlb {
     if (s.len != kPageSize) {
       return nullptr;
     }
-    // A write translation can break copy-on-write (IPC page lending),
-    // moving the page to a fresh frame mid-run -- the one exception to
-    // "translations never change while user code executes". Drop any
-    // cached read pointer for the page (array entry AND last-page slot) so
-    // loads refill and see the run's own stores.
-    if (rtag_[page & kMiniTlbMask] == page) {
-      rtag_[page & kMiniTlbMask] = kNoPage;
-    }
-    if (r0page_ == page) {
-      r0page_ = kNoPage;
-    }
     wtag_[page & kMiniTlbMask] = page;
     wbase_[page & kMiniTlbMask] = s.ptr;
     w0page_ = page;
@@ -119,10 +108,10 @@ struct MiniTlb {
   }
 
   // Last-page slots. Invariant: when r0page_ != kNoPage, the array entry at
-  // its index holds the same (page, base) pair -- fills set both together,
-  // and the CoW drop above clears both together. Same for w0page_. That is
-  // what makes the slot a pure fast path: any access pattern reaches the
-  // bus on exactly the probes the array alone would have sent there.
+  // its index holds the same (page, base) pair -- fills set both together.
+  // Same for w0page_. That is what makes the slot a pure fast path: any
+  // access pattern reaches the bus on exactly the probes the array alone
+  // would have sent there.
   //
   // Members are public (standard layout) because the JIT templates inline
   // the last-page-slot probe by offsetof: a compiled loadw/storew compares

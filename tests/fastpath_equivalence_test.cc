@@ -7,9 +7,8 @@
 // results to the coroutine route it stands in for: same virtual clock, same
 // registers and restart points, same memory, and the same value for every
 // semantic statistics counter (Table 3/5/7 inputs). Only the host-side
-// observability counters -- syscall_fast_entries, ipc_fast_handoffs, tlb_*,
-// jit_*, ipc_page_lends -- may differ, and none of them appear in the
-// comparison below.
+// observability counters -- syscall_fast_entries, ipc_fast_handoffs, tlb_*
+// and jit_* -- may differ, and none of them appear in the comparison below.
 //
 // Coverage: five paper configurations x both interpreter engines x the
 // workloads below (trivial-syscall mix, RPC ping-pong, the atomicity-audit
@@ -518,7 +517,7 @@ TEST_P(FastPathEquivalenceTest, SetThreadStateOnFramelessBlocksBitIdentical) {
 
 // Traced runs keep the fast path (trace-only instrumentation), so the trace
 // stream itself must not tell the routes apart: a fast call's span closes
-// before the syscall-exit charge, as HandleOpOutcome closes it, and every
+// before the syscall-exit charge, as HandleOpOutcomeT closes it, and every
 // chunk/flow/block event matches. Only the kIpcFastHandoff instants, which
 // mark the fast route on purpose, are left out. The digest carries every
 // event's timestamp, so a wrong charge shows at the next event even where

@@ -518,7 +518,6 @@ TEST_P(InterpDeterminismTest, VirtualTimeAndStatsIdenticalAcrossEngines) {
     EXPECT_EQ(a.tlb_hits, b.tlb_hits);
     EXPECT_EQ(a.tlb_misses, b.tlb_misses);
     EXPECT_EQ(a.tlb_flushes, b.tlb_flushes);
-    EXPECT_EQ(a.ipc_page_lends, b.ipc_page_lends);
     EXPECT_EQ(a.rollback_ns, b.rollback_ns);
     EXPECT_EQ(a.remedy_soft_ns, b.remedy_soft_ns);
     EXPECT_EQ(a.remedy_hard_ns, b.remedy_hard_ns);

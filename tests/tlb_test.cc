@@ -1,17 +1,20 @@
 // Software-TLB and translation-caching tests (src/kern/tlb.h, Space::
-// PageData/TranslateSpan, IPC copy-on-write page lending).
+// PageData/TranslateSpan, the IPC bulk copy's span cache).
 //
 // Two properties are load-bearing:
 //   1. Coherence: every page-table mutation (unmap, remap, protection
-//      change, zero-fill, checkpoint restore, cow lend/break) is visible to
-//      the very next access -- a stale cached translation is a simulator
-//      correctness bug, not a performance bug.
-//   2. Determinism: the TLB and the lend path are host-side caches only.
+//      change, zero-fill, checkpoint restore) is visible to the very next
+//      access -- a stale cached translation is a simulator correctness bug,
+//      not a performance bug.
+//   2. Determinism: the TLB and the span cache are host-side caches only.
 //      Running any workload with the TLB on vs off must produce
 //      bit-identical virtual time and kernel statistics (tlb_* counters
 //      excepted, by definition).
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/workloads/checkpoint.h"
@@ -153,170 +156,245 @@ TEST_F(TlbTest, HandleSlotsAreReusedAndCounted) {
   EXPECT_EQ(s->handle_count(), base + 2);
 }
 
-// --- Copy-on-write page lending (Space-level) ---
+// --- End-to-end: the IPC bulk path copies pages and stays correct ---
 
-class CowTest : public testing::Test {
- protected:
-  Kernel k_{KernelConfig{}};
+// A client and a server space with 4 MiB of anonymous memory each, and a
+// port in the server that the client holds a reference to. The client's
+// buffer holds a word pattern of `bytes` bytes.
+struct BulkPair {
+  static constexpr uint32_t kBuf = 0x20000;
+
+  BulkPair(const KernelConfig& cfg, uint32_t bytes) : k(cfg), pattern(bytes / 4) {
+    cs = k.CreateSpace("cl");
+    ss = k.CreateSpace("sv");
+    cs->SetAnonRange(0x10000, 4 << 20);
+    ss->SetAnonRange(0x10000, 4 << 20);
+    Port* port = k.NewPort(1);
+    sp = k.Install(ss, port);
+    cr = k.Install(cs, k.NewReference(port));
+    for (uint32_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = i * 2654435761u + 3;
+    }
+    EXPECT_TRUE(cs->HostWrite(kBuf, pattern.data(), bytes));
+  }
+
+  uint32_t bytes() const { return static_cast<uint32_t>(pattern.size() * 4); }
+
+  void Start(Assembler& client, Assembler& server) {
+    ss->program = server.Build();
+    cs->program = client.Build();
+    k.StartThread(k.CreateThread(ss));
+    k.StartThread(k.CreateThread(cs));
+  }
+
+  // The whole pattern as one message: connect_send against wait_receive.
+  void StartOneMessage() {
+    const uint32_t words = bytes() / 4;
+    Assembler ca("client");
+    EmitSys(ca, kSysIpcClientConnectSend, cr, kBuf, words, 0, 0);
+    EmitCheckOk(ca);
+    ca.Halt();
+    Assembler sa("server");
+    EmitSys(sa, kSysIpcWaitReceive, sp, 0, 0, kBuf, words);
+    EmitCheckOk(sa);
+    sa.Halt();
+    Start(ca, sa);
+  }
+
+  std::vector<uint32_t> Received() const {
+    std::vector<uint32_t> got(pattern.size());
+    EXPECT_TRUE(ss->HostRead(kBuf, got.data(), bytes()));
+    return got;
+  }
+
+  Kernel k;
+  Space* cs = nullptr;
+  Space* ss = nullptr;
+  Handle sp = kInvalidHandle;
+  Handle cr = kInvalidHandle;
+  std::vector<uint32_t> pattern;
 };
 
-TEST_F(CowTest, LendSharesFrameAndReceiverWriteBreaks) {
-  auto a = k_.CreateSpace("a");
-  auto b = k_.CreateSpace("b");
-  ASSERT_NE(a->ProvidePage(kVaddr, kProtReadWrite), kInvalidFrame);
-  ASSERT_NE(b->ProvidePage(kVaddr, kProtReadWrite), kInvalidFrame);
-  uint32_t fa = 0;
-  ASSERT_TRUE(a->WriteWord(kVaddr, 111u, &fa));
-
-  ASSERT_TRUE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  const Pte* pa = a->FindPte(kVaddr);
-  const Pte* pb = b->FindPte(kVaddr);
-  ASSERT_NE(pa, nullptr);
-  ASSERT_NE(pb, nullptr);
-  EXPECT_EQ(pa->frame, pb->frame);
-  EXPECT_TRUE(pa->cow);
-  EXPECT_TRUE(pb->cow);
-  EXPECT_EQ(k_.phys.refcount(pa->frame), 2u);
-  uint32_t v = 0;
-  ASSERT_TRUE(b->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 111u);
-  // Repeat lend of the same page is a cheap no-op.
-  ASSERT_TRUE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  EXPECT_EQ(a->FindPte(kVaddr)->frame, b->FindPte(kVaddr)->frame);
-
-  // Receiver writes: its frame privatizes; the sender keeps the original.
-  ASSERT_TRUE(b->WriteWord(kVaddr, 222u, &fa));
-  EXPECT_NE(a->FindPte(kVaddr)->frame, b->FindPte(kVaddr)->frame);
-  ASSERT_TRUE(a->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 111u);
-  ASSERT_TRUE(b->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 222u);
-}
-
-TEST_F(CowTest, SenderWriteAfterLendPrivatizes) {
-  auto a = k_.CreateSpace("a");
-  auto b = k_.CreateSpace("b");
-  ASSERT_NE(a->ProvidePage(kVaddr), kInvalidFrame);
-  ASSERT_NE(b->ProvidePage(kVaddr), kInvalidFrame);
-  uint32_t fa = 0;
-  ASSERT_TRUE(a->WriteWord(kVaddr, 7u, &fa));
-  ASSERT_TRUE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  // Sender prepares its next message: must not be visible to the receiver.
-  ASSERT_TRUE(a->WriteWord(kVaddr, 8u, &fa));
-  uint32_t v = 0;
-  ASSERT_TRUE(b->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 7u) << "sender write leaked through the lent frame";
-  EXPECT_NE(a->FindPte(kVaddr)->frame, b->FindPte(kVaddr)->frame);
-  // The receiver's cow flag is lazily stale (sole holder now); its next
-  // write just sheds the flag without copying.
-  const FrameId bf = b->FindPte(kVaddr)->frame;
-  ASSERT_TRUE(b->WriteWord(kVaddr, 9u, &fa));
-  EXPECT_FALSE(b->FindPte(kVaddr)->cow);
-  EXPECT_EQ(b->FindPte(kVaddr)->frame, bf) << "sole holder copied needlessly";
-}
-
-TEST_F(CowTest, HostWriteBreaksCow) {
-  auto a = k_.CreateSpace("a");
-  auto b = k_.CreateSpace("b");
-  ASSERT_NE(a->ProvidePage(kVaddr), kInvalidFrame);
-  ASSERT_NE(b->ProvidePage(kVaddr), kInvalidFrame);
-  ASSERT_TRUE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  const uint32_t x = 42;
-  ASSERT_TRUE(b->HostWrite(kVaddr, &x, 4));  // host writes honor cow too
-  EXPECT_NE(a->FindPte(kVaddr)->frame, b->FindPte(kVaddr)->frame);
-  uint32_t v = 0, fa = 0;
-  ASSERT_TRUE(a->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 0u);
-}
-
-TEST_F(CowTest, HierarchySharedFramesAreNotLent) {
-  auto a = k_.CreateSpace("a");
-  auto b = k_.CreateSpace("b");
-  auto c = k_.CreateSpace("c");
-  // a's frame is also mapped (non-cow) by c -- the shape a soft-fault
-  // install produces. Lending it would bypass c.
-  FrameId f = a->ProvidePage(kVaddr);
-  ASSERT_NE(f, kInvalidFrame);
-  c->MapPage(kVaddr, f, kProtRead);
-  ASSERT_NE(b->ProvidePage(kVaddr), kInvalidFrame);
-  EXPECT_FALSE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  EXPECT_NE(b->FindPte(kVaddr)->frame, f);
-  // Symmetric: a hierarchy-shared *destination* frame must not be dropped
-  // for a lend either (a copy would have written into it, visibly to c).
-  auto d = k_.CreateSpace("d");
-  ASSERT_NE(d->ProvidePage(kVaddr), kInvalidFrame);
-  EXPECT_FALSE(c->SharePageFrom(*d, kVaddr, kVaddr));
-}
-
-TEST_F(CowTest, EnsurePrivateFrameUnshares) {
-  auto a = k_.CreateSpace("a");
-  auto b = k_.CreateSpace("b");
-  ASSERT_NE(a->ProvidePage(kVaddr), kInvalidFrame);
-  ASSERT_NE(b->ProvidePage(kVaddr), kInvalidFrame);
-  uint32_t fa = 0;
-  ASSERT_TRUE(a->WriteWord(kVaddr, 5u, &fa));
-  ASSERT_TRUE(b->SharePageFrom(*a, kVaddr, kVaddr));
-  // What TryResolveSoft does before handing a's frame to the hierarchy.
-  ASSERT_TRUE(a->EnsurePrivateFrame(kVaddr));
-  EXPECT_FALSE(a->FindPte(kVaddr)->cow);
-  EXPECT_NE(a->FindPte(kVaddr)->frame, b->FindPte(kVaddr)->frame);
-  uint32_t v = 0;
-  ASSERT_TRUE(a->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 5u);
-  ASSERT_TRUE(b->ReadWord(kVaddr, &v, &fa));
-  EXPECT_EQ(v, 5u);
-}
-
-// --- End-to-end: the IPC bulk path lends pages and stays correct ---
-
+// IPC copies page-aligned pages like any others, so every received page
+// sits in a frame of the receiver's own. (The name is kept from when such
+// pages were lent copy-on-write.)
 TEST(IpcLend, PageAlignedBulkTransferLendsAndIsolates) {
-  KernelConfig cfg;  // default: PreemptMode::kNone -- the lending config
-  Kernel k(cfg);
-  auto cs = k.CreateSpace("cl");
-  auto ss = k.CreateSpace("sv");
-  cs->SetAnonRange(0x10000, 4 << 20);
-  ss->SetAnonRange(0x10000, 4 << 20);
-  auto port = k.NewPort(1);
-  const Handle sp = k.Install(ss, port);
-  const Handle cr = k.Install(cs, k.NewReference(port));
-  constexpr uint32_t kBytes = 256 * 1024;  // page-aligned, 64 pages
-  constexpr uint32_t kWords = kBytes / 4;
-  constexpr uint32_t kBuf = 0x20000;
+  BulkPair w(KernelConfig{}, 256 * 1024);  // default config: Process NP
+  w.StartOneMessage();
+  ASSERT_TRUE(w.k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
 
-  std::vector<uint32_t> pat(kWords);
-  for (uint32_t i = 0; i < kWords; ++i) {
-    pat[i] = i * 2654435761u + 3;
+  uint32_t shared = 0;
+  for (uint32_t off = 0; off < w.bytes(); off += kPageSize) {
+    const Pte* c = w.cs->FindPte(BulkPair::kBuf + off);
+    const Pte* s = w.ss->FindPte(BulkPair::kBuf + off);
+    ASSERT_NE(c, nullptr);
+    ASSERT_NE(s, nullptr);
+    shared += s->frame == c->frame ? 1 : 0;
   }
-  ASSERT_TRUE(cs->HostWrite(kBuf, pat.data(), kBytes));
-
-  Assembler ca("client");
-  EmitSys(ca, kSysIpcClientConnectSend, cr, kBuf, kWords, 0, 0);
-  EmitCheckOk(ca);
-  ca.Halt();
-  Assembler sa("server");
-  EmitSys(sa, kSysIpcWaitReceive, sp, 0, 0, kBuf, kWords);
-  EmitCheckOk(sa);
-  sa.Halt();
-  ss->program = sa.Build();
-  cs->program = ca.Build();
-  k.StartThread(k.CreateThread(ss));
-  k.StartThread(k.CreateThread(cs));
-  ASSERT_TRUE(k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
-
-  EXPECT_GT(k.stats.ipc_page_lends, 0u) << "aligned bulk transfer never lent";
-  std::vector<uint32_t> got(kWords);
-  ASSERT_TRUE(ss->HostRead(kBuf, got.data(), kBytes));
-  EXPECT_EQ(got, pat);
+  EXPECT_EQ(shared, 0u) << "received pages share the sender's frames";
+  EXPECT_EQ(w.Received(), w.pattern);
 
   // The client reusing its buffer must not retroactively change the
   // received message.
   const uint32_t zero = 0;
-  for (uint32_t off = 0; off < kBytes; off += kPageSize) {
-    ASSERT_TRUE(cs->HostWrite(kBuf + off, &zero, 4));
+  for (uint32_t off = 0; off < w.bytes(); off += kPageSize) {
+    ASSERT_TRUE(w.cs->HostWrite(BulkPair::kBuf + off, &zero, 4));
   }
-  ASSERT_TRUE(ss->HostRead(kBuf, got.data(), kBytes));
-  EXPECT_EQ(got, pat) << "client writes leaked into the delivered message";
+  EXPECT_EQ(w.Received(), w.pattern) << "client writes leaked into the delivered message";
 }
+
+// An armed plan counts one kIpcChunk opportunity per committed 2 KiB chunk,
+// whatever the buffers' alignment. Both buffers are resident, so no chunk
+// faults and retries: 256 KiB is exactly 128 chunks.
+TEST(IpcChunkOpportunities, OnePerCommittedChunkOfAnAlignedTransfer) {
+  KernelConfig cfg = PaperConfig(0);  // Process NP
+  cfg.fault_plan.enabled = true;      // counts opportunities, injects nothing
+  BulkPair w(cfg, 256 * 1024);
+  const std::vector<uint32_t> zeros(w.pattern.size(), 0);
+  ASSERT_TRUE(w.ss->HostWrite(BulkPair::kBuf, zeros.data(), w.bytes()));
+  w.StartOneMessage();
+  w.k.finj.Arm();
+  ASSERT_TRUE(w.k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
+
+  EXPECT_EQ(w.k.finj.opportunities(FaultHook::kIpcChunk), w.bytes() / 2048);
+  EXPECT_EQ(w.k.finj.injected(), 0u);
+  EXPECT_EQ(w.Received(), w.pattern);
+}
+
+// --- Pinned: the BM_BulkTransferMB shape in every paper config ---
+//
+// A client sends eight page-aligned 1 MiB messages to a server. In the
+// rewrite leg it stores the send count into the first word of every page of
+// its buffer before each send. Every pinned figure is a virtual result: a
+// change to how IPC moves data must leave all of them where they are.
+
+struct BulkPin {
+  uint32_t clock_us;  // what the server's clock_get returns after its last receive
+  uint64_t syscalls;
+  uint64_t context_switches;
+  uint64_t kernel_preemptions;
+  uint64_t user_instructions;
+  uint64_t frames_allocated;
+  uint64_t frame_bytes_allocated;
+  uint64_t frame_bytes_live_peak;
+  uint64_t buf_digest;  // FNV-1a over the server's buffer
+};
+
+// [paper config][rewrite leg]
+constexpr BulkPin kBulkPins[kNumPaperConfigs][2] = {
+    // Process NP: resend, rewrite
+    {{28110u, 18u, 12u, 0u, 178u, 299u, 97496u, 3704u, 0x6683ace06c58e9dcull},
+     {28172u, 18u, 12u, 0u, 6338u, 299u, 97496u, 3704u, 0xba99efcaf1c51188ull}},
+    // Process PP: resend, rewrite
+    {{28127u, 18u, 12u, 0u, 178u, 299u, 97496u, 3704u, 0x6683ace06c58e9dcull},
+     {28189u, 18u, 12u, 0u, 6338u, 299u, 97496u, 3704u, 0xba99efcaf1c51188ull}},
+    // Process FP: resend, rewrite
+    {{28960u, 18u, 12u, 0u, 178u, 299u, 97496u, 3704u, 0x6683ace06c58e9dcull},
+     {29022u, 18u, 12u, 0u, 6338u, 299u, 97496u, 3704u, 0xba99efcaf1c51188ull}},
+    // Interrupt NP: resend, rewrite
+    {{28107u, 18u, 12u, 0u, 178u, 299u, 97496u, 3160u, 0x6683ace06c58e9dcull},
+     {28169u, 18u, 12u, 0u, 6338u, 299u, 97496u, 3160u, 0xba99efcaf1c51188ull}},
+    // Interrupt PP: resend, rewrite
+    {{28124u, 18u, 12u, 0u, 178u, 299u, 97496u, 3160u, 0x6683ace06c58e9dcull},
+     {28186u, 18u, 12u, 0u, 6338u, 299u, 97496u, 3160u, 0xba99efcaf1c51188ull}},
+};
+
+uint64_t Fnv1a64(const std::vector<uint32_t>& words) {
+  uint64_t h = 14695981039346656037ull;
+  for (const uint32_t w : words) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (w >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+class BulkTransferPinTest : public testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(BulkTransferPinTest, EightAlignedMiBSends) {
+  const auto [config, rewrite] = GetParam();
+  BulkPair w(PaperConfig(config), 1 << 20);
+  constexpr uint32_t kBuf = BulkPair::kBuf;
+  const uint32_t words = w.bytes() / 4;
+  const uint32_t clock_slot = kBuf + w.bytes();
+  constexpr uint32_t kSends = 8;
+
+  // SP counts sends on both sides: the kernel never touches it.
+  Assembler ca("client");
+  EmitSys(ca, kSysIpcClientConnect, w.cr);
+  EmitCheckOk(ca);
+  ca.MovImm(kRegSP, 0);
+  const auto send = ca.NewLabel();
+  ca.Bind(send);
+  if (rewrite) {
+    ca.MovImm(kRegC, kBuf);
+    ca.MovImm(kRegD, kBuf + w.bytes());
+    const auto page = ca.NewLabel();
+    ca.Bind(page);
+    ca.StoreW(kRegSP, kRegC, 0);
+    ca.AddImm(kRegC, kRegC, kPageSize);
+    ca.Blt(kRegC, kRegD, page);
+  }
+  EmitSys(ca, kSysIpcClientSend, kUlibKeep, kBuf, words, 0, 0);
+  EmitCheckOk(ca);
+  ca.AddImm(kRegSP, kRegSP, 1);
+  ca.MovImm(kRegBP, kSends);
+  ca.Blt(kRegSP, kRegBP, send);
+  ca.Halt();
+
+  Assembler sa("server");
+  EmitSys(sa, kSysIpcWaitReceive, w.sp, 0, 0, kBuf, words);
+  EmitCheckOk(sa);
+  sa.MovImm(kRegSP, 1);
+  const auto recv = sa.NewLabel();
+  sa.Bind(recv);
+  EmitSys(sa, kSysIpcServerReceive, 0, 0, 0, kBuf, words);
+  EmitCheckOk(sa);
+  sa.AddImm(kRegSP, kRegSP, 1);
+  sa.MovImm(kRegBP, kSends);
+  sa.Blt(kRegSP, kRegBP, recv);
+  EmitSys(sa, kSysClockGet);
+  EmitCheckOk(sa);
+  sa.MovImm(kRegC, clock_slot);
+  sa.StoreW(kRegB, kRegC, 0);
+  sa.Halt();
+
+  w.Start(ca, sa);
+  ASSERT_TRUE(w.k.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
+
+  std::vector<uint32_t> want = w.pattern;
+  if (rewrite) {
+    for (uint32_t i = 0; i < words; i += kPageSize / 4) {
+      want[i] = kSends - 1;
+    }
+  }
+  const std::vector<uint32_t> got = w.Received();
+  EXPECT_EQ(got, want);
+  uint32_t clock_us = 0;
+  ASSERT_TRUE(w.ss->HostRead(clock_slot, &clock_us, 4));
+
+  const BulkPin& pin = kBulkPins[config][rewrite ? 1 : 0];
+  const KernelStats& st = w.k.stats;
+  EXPECT_EQ(clock_us, pin.clock_us);
+  EXPECT_EQ(st.syscalls, pin.syscalls);
+  EXPECT_EQ(st.context_switches, pin.context_switches);
+  EXPECT_EQ(st.kernel_preemptions, pin.kernel_preemptions);
+  EXPECT_EQ(st.user_instructions, pin.user_instructions);
+  EXPECT_EQ(st.frames_allocated, pin.frames_allocated);
+  EXPECT_EQ(st.frame_bytes_allocated, pin.frame_bytes_allocated);
+  EXPECT_EQ(st.frame_bytes_live_peak, pin.frame_bytes_live_peak);
+  EXPECT_EQ(Fnv1a64(got), pin.buf_digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, BulkTransferPinTest,
+    testing::Combine(testing::Range(0, kNumPaperConfigs), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      std::string s = PaperConfig(std::get<0>(info.param)).Label();
+      std::replace(s.begin(), s.end(), ' ', '_');
+      return s + (std::get<1>(info.param) ? "_Rewrite" : "_Resend");
+    });
 
 // --- Determinism: TLB on vs off is invisible in virtual time ---
 
@@ -324,7 +402,7 @@ class TlbDeterminismTest : public testing::TestWithParam<KernelConfig> {};
 
 // A mixed workload touching every cached path: user-mode stores/loads over
 // several pages (interpreter mini-TLB), a page-aligned bulk send (span
-// cache + page lending where the config allows it), and an RPC reply.
+// cache), and an RPC reply.
 struct DetResult {
   Time end_time = 0;
   KernelStats stats;
@@ -413,7 +491,6 @@ TEST_P(TlbDeterminismTest, VirtualTimeAndStatsIdenticalTlbOnOff) {
   EXPECT_EQ(a.user_faults, b.user_faults);
   EXPECT_EQ(a.region_pages_scanned, b.region_pages_scanned);
   EXPECT_EQ(a.syscall_faults, b.syscall_faults);
-  EXPECT_EQ(a.ipc_page_lends, b.ipc_page_lends);  // lending ignores the TLB
   EXPECT_EQ(a.rollback_ns, b.rollback_ns);
   EXPECT_EQ(a.remedy_soft_ns, b.remedy_soft_ns);
   EXPECT_EQ(a.remedy_hard_ns, b.remedy_hard_ns);
