@@ -1,8 +1,10 @@
 // The dispatcher: the only place the execution model matters.
 //
-// RunThreadT() executes one burst of a thread: resuming a retained kernel
-// activation (process model), or running user code until it traps. When a
-// handler blocks, HandleOpOutcomeT() applies the model:
+// RunLoop (one CPU) and RunMpLoop (epochs, more CPUs) share one body per
+// dispatch: the fault plan's boundary, the prologue that charges the context
+// switch and resumes a retained kernel activation (process model) or sizes
+// the next user burst, and the switch on the event that ended the burst.
+// When a handler blocks, HandleOpOutcomeT() applies the model:
 //
 //   * interrupt model -- destroy the coroutine frame ("unwind the per-CPU
 //     kernel stack"); the thread's committed registers are the
@@ -78,8 +80,32 @@ void Kernel::CkptDrainTick(size_t batch) {
   }
 }
 
+namespace {
+
+// The end of every dispatch: a thread still running goes back on its CPU's
+// queue -- to the back when a timeslice tick is pending (round-robin), to
+// the front otherwise, so it keeps the CPU at the next pick.
+__attribute__((always_inline)) inline void Requeue(Cpu& c, Thread* t) {
+  if (t->run_state == ThreadRun::kRunning) {
+    t->run_state = ThreadRun::kRunnable;
+    if (c.rotate) {
+      c.ready.PushBack(t);
+      c.rotate = false;
+    } else {
+      c.ready.PushFront(t);
+    }
+  }
+  c.last = t;
+  c.current = nullptr;
+}
+
+}  // namespace
+
+// The epoch loop's stage/run/consume (below) at one CPU, with no epochs: the
+// burst runs as soon as it is staged.
 template <bool Instrumented>
 void Kernel::RunLoop(Time until) {
+  Cpu& c = cpus_[0];
   while (!crashed_ && clock.now() < until) {
     if constexpr (Instrumented) {
       // Concurrent-checkpoint drain: a few owed pages per dispatch, on the
@@ -94,61 +120,29 @@ void Kernel::RunLoop(Time until) {
         return;
       }
     }
-    RunDueTimers();
-    if (irqs.AnyPending()) {
-      DispatchIrqs();
-    }
-    Thread* t = PickNextOn(cpus_[0]);
+    PollInterrupts();
+    Thread* t = PickNextOn(c);
     if (t == nullptr) {
-      if (TimerQueueEmpty()) {
-        return;  // nothing can ever happen again
-      }
-      const Time next = NextTimerDeadline();
-      const Time target = next >= until ? until : next;
-      if constexpr (Instrumented) {
-        // Idle span on the synthetic tid 0 track: the profiler partitions
-        // the whole run's virtual time, so time with no runnable thread is
-        // attributed explicitly rather than to the last-run thread.
-        if (target > clock.now()) {
-          const uint64_t idle = trace.BeginSpan(clock.now(), TraceKind::kIdle, 0);
-          clock.AdvanceTo(target);
-          trace.EndSpan(clock.now(), TraceKind::kIdle, idle, 0);
-        } else {
-          clock.AdvanceTo(target);
-        }
-      } else {
-        clock.AdvanceTo(target);
-      }
-      if (next >= until) {
+      if (!IdleStepT<Instrumented>(until)) {
         return;
       }
       continue;
     }
-    if constexpr (Instrumented) {
-      if (finj.armed()) {
-        // Every pick of a runnable thread is one dispatch boundary: the
-        // injection points the extraction sweep and crash-restart tests
-        // index.
-        const uint64_t boundary = finj.NoteDispatch();
-        if (finj.ShouldCrash(boundary)) {
-          // Freeze the machine with the picked thread back in its schedule
-          // slot; recovery is a checkpoint reload into a fresh kernel.
-          trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 1);
-          cpus_[0].ready.PushFront(t);
-          crashed_ = true;
-          return;
-        }
-        if (finj.ShouldExtract(boundary)) {
-          t = RecreateThreadForAudit(t);
-          trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 0);
-        }
-      }
+    if (!FaultBoundaryT<Instrumented>(c, t)) {
+      return;
     }
     Time horizon = until;
     if (!TimerQueueEmpty()) {
       horizon = std::min(horizon, NextTimerDeadline());
     }
-    RunThreadT<Instrumented>(cpus_[0], t, horizon);
+    const uint64_t budget = BeginDispatchT<Instrumented>(c, t, horizon, /*force_progress=*/true);
+    if (budget != 0) {
+      const RunResult r = RunUser(*t->program, &t->regs, t->space, budget,
+                                  Instrumented ? interp_opts_instr_ : interp_opts_);
+      clock.Advance(r.cycles * kNsPerCycle);
+      HandleTrapT<Instrumented>(t, r);
+    }
+    Requeue(c, t);
   }
 }
 
@@ -202,34 +196,68 @@ void Kernel::DispatchIrqs() {
   }
 }
 
-namespace {
-
-// The end of every dispatch: a thread still running goes back on its CPU's
-// queue -- to the back when a timeslice tick is pending (round-robin), to
-// the front otherwise, so it keeps the CPU at the next pick.
-__attribute__((always_inline)) inline void Requeue(Cpu& c, Thread* t) {
-  if (t->run_state == ThreadRun::kRunning) {
-    t->run_state = ThreadRun::kRunnable;
-    if (c.rotate) {
-      c.ready.PushBack(t);
-      c.rotate = false;
-    } else {
-      c.ready.PushFront(t);
+// No CPU has a runnable thread: advance the clock to the next timer deadline
+// or `until`, whichever is first. Returns true when a deadline falls before
+// `until` (the caller polls it next), false when the run is over.
+template <bool Instrumented>
+bool Kernel::IdleStepT(Time until) {
+  if (TimerQueueEmpty()) {
+    return false;  // nothing can ever happen again
+  }
+  const Time next = NextTimerDeadline();
+  const Time target = next >= until ? until : next;
+  if constexpr (Instrumented) {
+    // Idle span on the synthetic tid 0 track: the profiler partitions the
+    // whole run's virtual time, so time with no runnable thread is
+    // attributed explicitly rather than to the last-run thread.
+    if (target > clock.now()) {
+      const uint64_t idle = trace.BeginSpan(clock.now(), TraceKind::kIdle, 0);
+      clock.AdvanceTo(target);
+      trace.EndSpan(clock.now(), TraceKind::kIdle, idle, 0);
     }
   }
-  c.last = t;
-  c.current = nullptr;
+  clock.AdvanceTo(target);
+  return next < until;
 }
 
-}  // namespace
-
+// Under an armed plan, every pick of a runnable thread is one dispatch
+// boundary: the injection points the extraction sweep and crash-restart
+// tests index. A crash freezes the machine with `t` back in its schedule
+// slot on `c` and returns false; recovery is a checkpoint reload into a
+// fresh kernel. An extraction replaces `t` with its recreated successor.
 template <bool Instrumented>
-void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
-  if (cpu.last != t) {
+bool Kernel::FaultBoundaryT(Cpu& c, Thread*& t) {
+  if constexpr (Instrumented) {
+    if (finj.armed()) {
+      const uint64_t boundary = finj.NoteDispatch();
+      if (finj.ShouldCrash(boundary)) {
+        trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 1);
+        c.ready.PushFront(t);
+        crashed_ = true;
+        return false;
+      }
+      if (finj.ShouldExtract(boundary)) {
+        t = RecreateThreadForAudit(t);
+        trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 0);
+      }
+    }
+  }
+  return true;
+}
+
+// The dispatch prologue on a thread just picked on `c`: charges the context
+// switch, records the latency probe and marks `t` running. A retained kernel
+// activation (process model) resumes here and a thread with no program
+// exits; both return 0. Otherwise returns the budget, in cycles, of `t`'s
+// next user burst -- 0 when the horizon is under one cycle away. The caller
+// requeues `t` after a 0, or after the burst and its trap.
+template <bool Instrumented>
+uint64_t Kernel::BeginDispatchT(Cpu& c, Thread* t, Time horizon, bool force_progress) {
+  if (c.last != t) {
     ++stats.context_switches;
     if constexpr (Instrumented) {
       trace.Record(clock.now(), TraceKind::kContextSwitch, t->id(),
-                   cpu.last != nullptr ? static_cast<uint32_t>(cpu.last->id()) : 0);
+                   c.last != nullptr ? static_cast<uint32_t>(c.last->id()) : 0);
     }
     uint64_t cost = costs.ctx_switch;
     if (cfg.model == ExecModel::kProcess) {
@@ -239,7 +267,7 @@ void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
     }
     Charge(cost);
   }
-  cpu.current = t;
+  c.current = t;
   if (t->latency_probe && t->wake_time != 0) {
     stats.RecordProbe(clock.now(), clock.now() - t->wake_time);
   }
@@ -249,75 +277,82 @@ void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
   if (t->op.valid()) {
     // Retained kernel activation (process model): resume mid-handler.
     ResumeOp(t);
-    HandleOpOutcomeT<Instrumented>(cpu, t);
-  } else if (t->program == nullptr) {
-    ThreadExit(t, 0xBAD0);  // no code to run
-  } else {
-    uint64_t budget = 1;  // horizon at or behind now: force progress
-    if (horizon > clock.now()) {
-      budget = (horizon - clock.now()) / kNsPerCycle;
-    }
-    if (budget == 0) {
-      // The horizon is less than one whole cycle away. Running anyway would
-      // overrun it by a full cycle, pushing the due event late; instead the
-      // thread idles the sub-cycle remainder and is requeued at the horizon
-      // (Run() then fires whatever is due there before re-picking it).
-      clock.AdvanceTo(horizon);
-    } else {
-      // Cap one uninterrupted interpreter burst at 2^31 cycles (about two
-      // virtual seconds). A budget-capped thread simply re-enters the
-      // dispatch loop and is re-picked with the clock advanced, so long
-      // quiescent horizons still complete; the bound is what lets both
-      // engines keep cycles and retired instructions in one packed 64-bit
-      // account with no cross-word carries (see src/uvm/minitlb.h).
-      constexpr uint64_t kMaxBurstCycles = 1ull << 31;
-      if (budget > kMaxBurstCycles) {
-        budget = kMaxBurstCycles;
-      }
-      if constexpr (Instrumented) {
-        if (finj.single_step() && budget > 1) {
-          // Atomicity-audit mode: one instruction per burst, so every
-          // instruction retires at its own dispatch boundary.
-          budget = 1;
-        }
-        finj.Note(FaultHook::kInterpBoundary);
-      }
-      const RunResult r = RunUser(*t->program, &t->regs, t->space, budget,
-                                  Instrumented ? interp_opts_instr_ : interp_opts_);
-      clock.Advance(r.cycles * kNsPerCycle);
-      switch (r.event) {
-        case UserEvent::kBudget:
-          break;  // horizon reached; requeue below
-        case UserEvent::kSyscall:
-          EnterSyscallT<Instrumented>(cpu, t);
-          break;
-        case UserEvent::kFault:
-          HandleUserFaultT<Instrumented>(t, r.fault_addr, r.fault_is_write);
-          break;
-        case UserEvent::kHalt:
-          if (t->forced_restart) {
-            // A thread rebuilt by forced extraction ran to completion: one
-            // passed restart audit (the oracle compares its final state).
-            ++stats.restart_audits;
-          }
-          ThreadExit(t, t->regs.gpr[kRegB]);
-          break;
-        case UserEvent::kBreak:
-          ++t->regs.pc;  // resume continues after the breakpoint
-          t->run_state = ThreadRun::kStopped;
-          break;
-        case UserEvent::kBadPc:
-          ThreadExit(t, 0xDEAD);
-          break;
-      }
-    }
+    HandleOpOutcomeT<Instrumented>(t);
+    return 0;
   }
-
-  Requeue(cpu, t);
+  if (t->program == nullptr) {
+    ThreadExit(t, 0xBAD0);  // no code to run
+    return 0;
+  }
+  // The context-switch charge can carry the clock to or past the horizon.
+  // Each loop keeps its own rule there, so the caller picks it: at one CPU
+  // (force_progress) the thread still gets one cycle; the epoch loop's
+  // unsigned difference is 0 at the horizon and wraps past it, bounded only
+  // by the cap below (DESIGN.md, "Deviations under MP").
+  uint64_t budget = 1;
+  if (!force_progress || horizon > clock.now()) {
+    budget = (horizon - clock.now()) / kNsPerCycle;
+  }
+  if (budget == 0) {
+    // The horizon is less than one whole cycle away. Running anyway would
+    // overrun it by a full cycle, pushing the due event late; instead the
+    // thread idles the sub-cycle remainder and is requeued at the horizon
+    // (the loop then fires whatever is due there before re-picking it).
+    clock.AdvanceTo(horizon);
+    return 0;
+  }
+  // Cap one uninterrupted interpreter burst at 2^31 cycles (about 10.7
+  // virtual seconds). A budget-capped thread simply re-enters the dispatch
+  // loop and is re-picked with the clock advanced, so long quiescent
+  // horizons still complete; the bound is what lets both engines keep
+  // cycles and retired instructions in one packed 64-bit account with no
+  // cross-word carries (see src/uvm/minitlb.h).
+  constexpr uint64_t kMaxBurstCycles = 1ull << 31;
+  if (budget > kMaxBurstCycles) {
+    budget = kMaxBurstCycles;
+  }
+  if constexpr (Instrumented) {
+    if (finj.single_step() && budget > 1) {
+      // Atomicity-audit mode: one instruction per burst, so every
+      // instruction retires at its own dispatch boundary.
+      budget = 1;
+    }
+    finj.Note(FaultHook::kInterpBoundary);
+  }
+  return budget;
 }
 
 template <bool Instrumented>
-void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
+void Kernel::HandleTrapT(Thread* t, const RunResult& r) {
+  switch (r.event) {
+    case UserEvent::kBudget:
+      break;  // horizon (or burst cap) reached; the caller requeues
+    case UserEvent::kSyscall:
+      EnterSyscallT<Instrumented>(t);
+      break;
+    case UserEvent::kFault:
+      HandleUserFaultT<Instrumented>(t, r.fault_addr, r.fault_is_write);
+      break;
+    case UserEvent::kHalt:
+      if (t->forced_restart) {
+        // A thread rebuilt by forced extraction ran to completion: one
+        // passed restart audit (the oracle compares its final state).
+        ++stats.restart_audits;
+      }
+      ThreadExit(t, t->regs.gpr[kRegB]);
+      break;
+    case UserEvent::kBreak:
+      ++t->regs.pc;  // resume continues after the breakpoint
+      t->run_state = ThreadRun::kStopped;
+      break;
+    case UserEvent::kBadPc:
+      ThreadExit(t, 0xDEAD);
+      break;
+  }
+}
+
+template <bool Instrumented>
+void Kernel::EnterSyscallT(Thread* t) {
   ++stats.syscalls;
   if constexpr (Instrumented) {
     finj.Note(FaultHook::kSyscallEntry);
@@ -403,7 +438,7 @@ void Kernel::EnterSyscallT(Cpu& cpu, Thread* t) {
   SetFrameAccounting(this, t);
   t->op = def->handler(t->ctx);
   ResumeOp(t);
-  HandleOpOutcomeT<Instrumented>(cpu, t);
+  HandleOpOutcomeT<Instrumented>(t);
 }
 
 template <bool Instrumented>
@@ -428,9 +463,7 @@ void Kernel::ResumeOp(Thread* t) {
 }
 
 template <bool Instrumented>
-void Kernel::HandleOpOutcomeT(Cpu& cpu, Thread* t) {
-  (void)cpu;  // the dispatcher context; kept explicit so no hot-path callee
-              // reaches for global mutable CPU state
+void Kernel::HandleOpOutcomeT(Thread* t) {
   if (t->op.valid() && t->op.done()) {
     // The operation completed (co_return): result registers are final.
     SetFrameAccounting(this, t);
@@ -679,68 +712,14 @@ bool Kernel::MpAdvance(Cpu& c, Time horizon) {
     }
     ++c.dispatches;
     c.digest = FnvMix(FnvMix(c.digest, clock.now()), t->id());
-    if constexpr (Instrumented) {
-      if (finj.armed()) {
-        const uint64_t boundary = finj.NoteDispatch();
-        if (finj.ShouldCrash(boundary)) {
-          trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 1);
-          c.ready.PushFront(t);
-          crashed_ = true;
-          c.lane = clock.now();
-          return false;
-        }
-        if (finj.ShouldExtract(boundary)) {
-          t = RecreateThreadForAudit(t);
-          trace.Record(clock.now(), TraceKind::kFaultInject, t->id(), 0);
-        }
-      }
+    if (!FaultBoundaryT<Instrumented>(c, t)) {
+      c.lane = clock.now();
+      return false;
     }
-    if (c.last != t) {
-      ++stats.context_switches;
-      if constexpr (Instrumented) {
-        trace.Record(clock.now(), TraceKind::kContextSwitch, t->id(),
-                     c.last != nullptr ? static_cast<uint32_t>(c.last->id()) : 0);
-      }
-      uint64_t cost = costs.ctx_switch;
-      if (cfg.model == ExecModel::kProcess) {
-        cost += costs.process_ctx_extra;
-      }
-      Charge(cost);
-    }
-    c.current = t;
-    if (t->latency_probe && t->wake_time != 0) {
-      stats.RecordProbe(clock.now(), clock.now() - t->wake_time);
-    }
-    t->wake_time = 0;
-    t->run_state = ThreadRun::kRunning;
-
-    if (t->op.valid()) {
-      ResumeOp(t);
-      HandleOpOutcomeT<Instrumented>(c, t);
-      Requeue(c, t);
-      continue;
-    }
-    if (t->program == nullptr) {
-      ThreadExit(t, 0xBAD0);
-      Requeue(c, t);
-      continue;
-    }
-    uint64_t budget = (horizon - clock.now()) / kNsPerCycle;
+    const uint64_t budget = BeginDispatchT<Instrumented>(c, t, horizon, /*force_progress=*/false);
     if (budget == 0) {
-      // Sub-cycle remainder to the horizon: idle it (see RunThreadT).
-      clock.AdvanceTo(horizon);
       Requeue(c, t);
       continue;
-    }
-    constexpr uint64_t kMaxBurstCycles = 1ull << 31;
-    if (budget > kMaxBurstCycles) {
-      budget = kMaxBurstCycles;
-    }
-    if constexpr (Instrumented) {
-      if (finj.single_step() && budget > 1) {
-        budget = 1;
-      }
-      finj.Note(FaultHook::kInterpBoundary);
     }
     // Stage the burst; c.current stays set until MpConsume.
     c.burst_budget = budget;
@@ -775,29 +754,7 @@ void Kernel::MpConsume(Cpu& c) {
   const RunResult r = c.burst;
   clock.Advance(r.cycles * kNsPerCycle);
   c.digest = FnvMix(FnvMix(c.digest, clock.now()), static_cast<uint64_t>(r.event));
-  switch (r.event) {
-    case UserEvent::kBudget:
-      break;  // horizon (or burst cap) reached; requeue below
-    case UserEvent::kSyscall:
-      EnterSyscallT<Instrumented>(c, t);
-      break;
-    case UserEvent::kFault:
-      HandleUserFaultT<Instrumented>(t, r.fault_addr, r.fault_is_write);
-      break;
-    case UserEvent::kHalt:
-      if (t->forced_restart) {
-        ++stats.restart_audits;
-      }
-      ThreadExit(t, t->regs.gpr[kRegB]);
-      break;
-    case UserEvent::kBreak:
-      ++t->regs.pc;
-      t->run_state = ThreadRun::kStopped;
-      break;
-    case UserEvent::kBadPc:
-      ThreadExit(t, 0xDEAD);
-      break;
-  }
+  HandleTrapT<Instrumented>(t, r);
   Requeue(c, t);
   c.lane = clock.now();
 }
@@ -809,35 +766,9 @@ void Kernel::RunMpLoop(Time until) {
     // Epoch boundary: global clock, boot CPU context. Timers, device events
     // and IRQs fire here in (deadline, seq) order, exactly as at 1 CPU.
     exec_cpu_ = &cpus_[0];
-    RunDueTimers();
-    if (irqs.AnyPending()) {
-      DispatchIrqs();
-    }
-    bool any = false;
-    for (Cpu& c : cpus_) {
-      if (c.ready.Any()) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      if (TimerQueueEmpty()) {
-        break;  // nothing can ever happen again
-      }
-      const Time next = NextTimerDeadline();
-      const Time target = next >= until ? until : next;
-      if constexpr (Instrumented) {
-        if (target > clock.now()) {
-          const uint64_t idle = trace.BeginSpan(clock.now(), TraceKind::kIdle, 0);
-          clock.AdvanceTo(target);
-          trace.EndSpan(clock.now(), TraceKind::kIdle, idle, 0);
-        } else {
-          clock.AdvanceTo(target);
-        }
-      } else {
-        clock.AdvanceTo(target);
-      }
-      if (next >= until) {
+    PollInterrupts();
+    if (!AnyRunnable()) {
+      if (!IdleStepT<Instrumented>(until)) {
         break;
       }
       continue;

@@ -878,50 +878,46 @@ bool Kernel::AnyRunnable() const {
   return false;
 }
 
-bool Kernel::RunUntilThreadDone(Thread* t, Time max_time) {
-  const Time deadline = clock.now() + max_time;
-  while (clock.now() < deadline) {
-    if (t->run_state == ThreadRun::kDead || t->run_state == ThreadRun::kStopped) {
+namespace {
+
+// Runs `k` in 10 ms slices until `done()` holds (true) or `max_time` has
+// passed or the kernel crashed (false); `done()` is checked again at the
+// deadline.
+template <typename Done>
+bool RunSlicedUntil(Kernel& k, Time max_time, Done done) {
+  const Time deadline = k.clock.now() + max_time;
+  while (k.clock.now() < deadline) {
+    if (done()) {
       return true;
     }
-    if (crashed_) {
+    if (k.crashed()) {
       return false;  // Run() no longer advances the clock
     }
-    Run(std::min(deadline, clock.now() + 10 * kNsPerMs));
+    k.Run(std::min(deadline, k.clock.now() + 10 * kNsPerMs));
   }
-  return t->run_state == ThreadRun::kDead || t->run_state == ThreadRun::kStopped;
+  return done();
+}
+
+}  // namespace
+
+bool Kernel::RunUntilThreadDone(Thread* t, Time max_time) {
+  return RunSlicedUntil(*this, max_time, [t] {
+    return t->run_state == ThreadRun::kDead || t->run_state == ThreadRun::kStopped;
+  });
 }
 
 bool Kernel::RunUntilQuiescent(Time max_time) {
-  const Time deadline = clock.now() + max_time;
-  while (clock.now() < deadline) {
-    bool busy = AnyRunnable();
-    if (!busy) {
-      for (const Thread* t : threads_) {
-        if (t->run_state == ThreadRun::kBlocked) {
-          busy = true;
-          break;
-        }
-      }
-    }
-    if (!busy) {
-      return true;
-    }
-    if (crashed_) {
-      return false;  // Run() no longer advances the clock
-    }
-    Run(std::min(deadline, clock.now() + 10 * kNsPerMs));
-  }
-  // Quiesced exactly at the deadline?
-  if (AnyRunnable()) {
-    return false;
-  }
-  for (const Thread* t : threads_) {
-    if (t->run_state == ThreadRun::kBlocked) {
+  return RunSlicedUntil(*this, max_time, [this] {
+    if (AnyRunnable()) {
       return false;
     }
-  }
-  return true;
+    for (const Thread* t : threads_) {
+      if (t->run_state == ThreadRun::kBlocked) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------

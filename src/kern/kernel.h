@@ -288,9 +288,9 @@ class Kernel {
 
   // The CPU whose virtual-time lane the kernel is currently executing on.
   // Kernel work is serialized (epoch phase B runs the CPUs in order), so
-  // there is exactly one at any moment; hot-path dispatch code receives its
-  // Cpu& explicitly (RunThreadT and friends) instead of reading this --
-  // only cold paths (audit recreate, trace flow links) consult it.
+  // there is exactly one at any moment. The dispatch loops hand their Cpu&
+  // to the per-dispatch body; code the handlers reach (MakeRunnable,
+  // PreemptPending, the audit recreate, trace flow links) reads this.
   Cpu& exec_cpu() { return *exec_cpu_; }
   const Cpu& exec_cpu() const { return *exec_cpu_; }
 
@@ -440,21 +440,28 @@ class Kernel {
   uint64_t NextObjId() { return next_obj_id_++; }
 
  private:
-  // Templated hot-path twins of the dispatcher entrypoints above
-  // (dispatch.cc). The public names dispatch on InstrumentationLive() so
-  // white-box tests keep their behavior; Run() hoists the check out of the
-  // loop entirely.
+  // The dispatcher (dispatch.cc), templated over whether instrumentation is
+  // live: Run() reads InstrumentationLive() once and runs the matching
+  // instantiation, so the disarmed one carries no hook code.
   template <bool Instrumented>
   void RunLoop(Time until);
-  // Forced inline: one call per dispatched burst -- for a syscall-dense
-  // thread that is once per syscall, and letting the inliner outline these
-  // (it flip-flops as RunLoop grows) costs measurable ns/syscall.
   template <bool Instrumented>
-  __attribute__((always_inline)) inline void RunThreadT(Cpu& cpu, Thread* t, Time horizon);
+  bool IdleStepT(Time until);  // the step both loops take with nothing runnable
+  // The per-dispatch body RunLoop and the epoch loop share. Forced inline:
+  // one call per dispatched burst -- for a syscall-dense thread that is
+  // once per syscall, and letting the inliner outline these (it flip-flops
+  // as the loops grow) costs measurable ns/syscall.
   template <bool Instrumented>
-  void EnterSyscallT(Cpu& cpu, Thread* t);
+  __attribute__((always_inline)) inline bool FaultBoundaryT(Cpu& c, Thread*& t);
   template <bool Instrumented>
-  __attribute__((always_inline)) inline void HandleOpOutcomeT(Cpu& cpu, Thread* t);
+  __attribute__((always_inline)) inline uint64_t BeginDispatchT(Cpu& c, Thread* t, Time horizon,
+                                                                bool force_progress);
+  template <bool Instrumented>
+  __attribute__((always_inline)) inline void HandleTrapT(Thread* t, const RunResult& r);
+  template <bool Instrumented>
+  void EnterSyscallT(Thread* t);
+  template <bool Instrumented>
+  __attribute__((always_inline)) inline void HandleOpOutcomeT(Thread* t);
   // The one syscall-exit tail, for every call that completes: closes the
   // call's trace span at the instant it completed, then charges the return
   // to user mode (syscall_exit plus the interrupt model's extra). Result
@@ -479,7 +486,7 @@ class Kernel {
   template <bool Instrumented>
   void MpConsume(Cpu& c);
   // Runs every staged burst in CPU order, with the engine options
-  // RunThreadT would pick for the same instrumentation state.
+  // RunLoop would pick for the same instrumentation state.
   template <bool Instrumented>
   void MpRunBursts();
   Thread* PickNextOn(Cpu& c);
@@ -504,7 +511,7 @@ class Kernel {
   IntrusiveList<Thread, &Thread::probe_node> latency_probes_;
   // RunUser engine options, built once in the constructor -- the engine
   // flag and the stats-counter pointers are fixed for the kernel's lifetime,
-  // so RunThreadT doesn't reassemble them on every timeslice.
+  // so the dispatch loops don't reassemble them on every burst.
   InterpOptions interp_opts_;
   // Same options with a kJit engine downgraded to kSwitch, used by the
   // instrumented dispatch path (armed fault plan / tracing / single-step):

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/kern/inspect.h"
+#include "src/kern/profile.h"
 #include "src/workloads/apps.h"
 #include "tests/test_util.h"
 
@@ -190,13 +191,21 @@ struct MpRun {
   uint64_t migrations = 0;
   uint64_t timer_arms = 0;
   uint64_t timer_cancels = 0;
+  uint64_t trace_digest = 0;
+  uint64_t trace_dropped = 0;
   std::string dump;
 };
 
-MpRun RunC1mMp(ExecModel model, int cpus, InterpEngine engine) {
+MpRun RunC1mMp(ExecModel model, int cpus, InterpEngine engine, bool traced = false) {
   KernelConfig cfg = MpConfig(model, cpus);
   cfg.interp_engine = engine;
   Kernel k(cfg);
+  if (traced) {
+    // Room for the whole run (about 4.4k events): the digest covers every
+    // event, none dropped.
+    k.trace.SetCapacity(size_t{1} << 13);
+    k.trace.Enable();
+  }
   C1mParams p;
   p.clients = 48;
   p.sweep_delay_us = 3000;
@@ -220,6 +229,8 @@ MpRun RunC1mMp(ExecModel model, int cpus, InterpEngine engine) {
   r.migrations = k.stats.migrations;
   r.timer_arms = k.stats.timer_arms;
   r.timer_cancels = k.stats.timer_cancels;
+  r.trace_digest = TraceDigest(k.trace.Snapshot());
+  r.trace_dropped = k.trace.dropped();
   r.dump = DumpKernel(k);
   return r;
 }
@@ -240,6 +251,8 @@ void ExpectSameRun(const MpRun& a, const MpRun& b, const char* what) {
 
 // The 48-client storm's pinned results per CPU count. The run's semantic
 // totals do not depend on the CPU count: 825 syscalls, 3420 instructions.
+// The 1-CPU row pins the other dispatch loop on the same storm (no epochs,
+// and MpDigest is zero there).
 struct MpPin {
   int cpus;
   uint64_t mp_digest;
@@ -250,11 +263,13 @@ struct MpPin {
 };
 
 constexpr MpPin kProcessPins[] = {
+    {1, 0, 10 * kNsPerMs, 669, 0, 0},
     {2, 0x7b4a0a98e3cf727dull, 10 * kNsPerMs, 605, 101, 256},
     {4, 0x0325a35a80226a37ull, 10 * kNsPerMs, 557, 95, 384},
     {8, 0x2a2df581f316da52ull, 10 * kNsPerMs, 510, 79, 449},
 };
 constexpr MpPin kInterruptPins[] = {
+    {1, 0, 10 * kNsPerMs, 667, 0, 0},
     {2, 0xbb0acfe9c3719589ull, 10 * kNsPerMs, 611, 102, 257},
     {4, 0x9458338f07e96629ull, 10 * kNsPerMs, 573, 98, 386},
     {8, 0x07d76848acad9c67ull, 10 * kNsPerMs, 503, 81, 444},
@@ -278,6 +293,68 @@ TEST_P(MpBackendTest, MatchesPinnedResultsAcrossCpuCounts) {
     // caches, the JIT arena, allocator reuse) may leak into the next.
     const MpRun again = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kJit);
     ExpectSameRun(run, again, "same-process repeat");
+  }
+}
+
+// The same storm traced, at one CPU and at four. The trace stream records
+// every context switch, syscall span, block and idle span, so it pins the
+// dispatch body's order of effects, not only its totals.
+struct TracePin {
+  int cpus;
+  uint64_t process;
+  uint64_t interrupt;
+};
+
+constexpr TracePin kTracePins[] = {
+    {1, 0xc06a7f2721287462ull, 0xa57b63769421cd08ull},
+    {4, 0xb1709ee81ad77df8ull, 0xcd0853f01b8e08d7ull},
+};
+
+TEST_P(MpBackendTest, TracedRunMatchesPinnedTraceDigest) {
+  for (const TracePin& pin : kTracePins) {
+    const MpRun run = RunC1mMp(GetParam(), pin.cpus, InterpEngine::kJit, /*traced=*/true);
+    ASSERT_TRUE(run.completed) << pin.cpus << " cpus";
+    EXPECT_EQ(run.trace_dropped, 0u) << pin.cpus << " cpus";
+    EXPECT_EQ(run.trace_digest, GetParam() == ExecModel::kProcess ? pin.process : pin.interrupt)
+        << pin.cpus << " cpus";
+  }
+}
+
+// An injected crash at an MP dispatch boundary freezes the whole machine:
+// the crashing CPU puts its pick back, the other CPUs un-stage their bursts,
+// and every live thread is back in a schedule slot with its state
+// extractable. A crashed kernel does not run again.
+TEST_P(MpBackendTest, CrashAtDispatchBoundaryFreezesEveryCpu) {
+  for (const uint64_t crash_at : {3, 50, 400}) {
+    KernelConfig cfg = MpConfig(GetParam(), 4);
+    cfg.fault_plan.enabled = true;
+    cfg.fault_plan.crash_at = crash_at;
+    Kernel k(cfg);
+    C1mParams p;
+    p.clients = 48;
+    p.sweep_delay_us = 3000;
+    p.park_us = 20000;
+    BuildC1mWorkload(k, p);
+    k.finj.Arm();
+    k.Run(k.clock.now() + 4000 * kNsPerMs);
+    ASSERT_TRUE(k.crashed()) << "crash_at " << crash_at;
+    for (const Cpu& c : k.cpus()) {
+      EXPECT_EQ(c.current, nullptr) << "crash_at " << crash_at << " cpu " << c.id;
+      EXPECT_EQ(c.burst_budget, 0u) << "crash_at " << crash_at << " cpu " << c.id;
+    }
+    size_t live = 0;
+    for (Thread* t : k.threads()) {
+      EXPECT_NE(t->run_state, ThreadRun::kRunning) << "crash_at " << crash_at;
+      if (t->run_state != ThreadRun::kDead) {
+        ThreadState st;
+        EXPECT_TRUE(k.GetThreadState(t, &st)) << "crash_at " << crash_at;
+        ++live;
+      }
+    }
+    EXPECT_EQ(live, 57u) << "crash_at " << crash_at;  // 48 clients, 8 servers, the master
+    const Time frozen = k.clock.now();
+    k.Run(frozen + 10 * kNsPerMs);
+    EXPECT_EQ(k.clock.now(), frozen) << "crash_at " << crash_at;
   }
 }
 
